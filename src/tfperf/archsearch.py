@@ -3,22 +3,24 @@
 Searches encoder architectures over layer count, model dim, and per-layer
 head count / FFN dim. Each candidate is costed analytically on the
 accelerator model (sum of per-operator latency and energy, sequence length
-512) through a shape-keyed cost cache; quality uses a parameter-count proxy.
-Evolution retains the Pareto front (maximize quality, minimize EDP) and
-refills the population by mutating retained members round-robin.
+512) through a cost cache that memoizes whole encoder layers and, below
+them, operator shapes; quality uses a parameter-count proxy. Evolution
+retains the Pareto front (maximize quality, minimize EDP), kept with one
+sorted sweep, and refills the population by mutating retained members
+round-robin.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .hwmodel import AcceleratorConfig, CostReport, _wide_flags, greedy_tiles, op_latency
-from .workload import ConfigError, Mode, ModelConfig, OperatorSpec, layer_ops_encoder
+from .workload import (ConfigError, Conv, Matmul, Mode, ModelConfig, OperatorSpec,
+                       layer_ops_encoder)
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,18 @@ DEFAULT_SPACE = SearchSpace()
 
 
 def space_from_json(doc: str | dict) -> SearchSpace:
-    data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+    data = json.loads(doc) if isinstance(doc, str) else doc
+    if not isinstance(data, dict):
+        raise ConfigError("search space must be a JSON object")
     kw = {}
     for key in ("layer_counts", "heads_per_layer", "model_dims", "ffn_dims_per_layer"):
         if key in data:
-            kw[key] = tuple(sorted(int(v) for v in data[key]))
+            vals = data[key]
+            # bool is an int subclass; JSON true must not pass as 1
+            if (not isinstance(vals, (list, tuple))
+                    or not all(type(v) is int for v in vals)):
+                raise ConfigError(f"search space {key} must be a list of integers")
+            kw[key] = tuple(sorted(vals))
     return SearchSpace(**kw).check()
 
 
@@ -90,14 +99,9 @@ def sample_candidate(space: SearchSpace, seed) -> Candidate:
     rng = _rng(seed)
     n = _pick(rng, space.layer_counts)
     d = _pick(rng, space.model_dims)
-    h = []
-    for _ in range(n):
-        v = _pick(rng, space.heads_per_layer)
-        while d // v < 1:  # degenerate head dim: resample
-            v = _pick(rng, space.heads_per_layer)
-        h.append(v)
+    h = tuple(_pick(rng, space.heads_per_layer) for _ in range(n))
     dff = tuple(_pick(rng, space.ffn_dims_per_layer) for _ in range(n))
-    return Candidate(n, d, tuple(h), dff)
+    return Candidate(n, d, h, dff)
 
 
 def mutate(c: Candidate, p: float, seed, space: SearchSpace = DEFAULT_SPACE) -> Candidate:
@@ -130,35 +134,38 @@ def quality_proxy(c: Candidate) -> float:
     return float(sum(4 * c.d * c.d + 2 * c.d * f for f in c.d_FFN))
 
 
-def candidate_ops(c: Candidate, seq_len: int = 512) -> list[OperatorSpec]:
+def _encoder_config(c: Candidate, seq_len: int) -> ModelConfig:
     # base num_heads=1 always divides d; real head counts enter per layer
-    cfg = ModelConfig(name="nas", num_layers=c.N, model_dim=c.d, num_heads=1,
-                      ffn_dim=c.d_FFN[0], seq_len=seq_len, mode=Mode.Encoder).check()
+    return ModelConfig(name="nas", num_layers=c.N, model_dim=c.d, num_heads=1,
+                       ffn_dim=c.d_FFN[0], seq_len=seq_len, mode=Mode.Encoder).check()
+
+
+def candidate_ops(c: Candidate, seq_len: int = 512) -> list[OperatorSpec]:
+    cfg = _encoder_config(c, seq_len)
     ops: list[OperatorSpec] = []
     for i in range(c.N):
         ops.extend(layer_ops_encoder(cfg, i, heads=c.h[i], ffn_dim=c.d_FFN[i]))
     return ops
 
 
-def _accel_key(accel: AcceleratorConfig) -> tuple:
-    e = accel.energy
-    return (accel.pe_width, accel.scratchpad_bytes, accel.accumulator_bytes,
-            accel.dram_bw, accel.sfu_vector_latency, accel.dataflow,
-            accel.idealized_matvec, e.mac_energy, e.scratchpad_access,
-            e.accumulator_access, e.dram_access)
-
-
 def _shape_key(op: OperatorSpec, wide_inputs: bool) -> tuple:
-    return (op.op_class, type(op.kind).__name__, dataclasses.astuple(op.kind),
-            op.repeat, op.in_precisions, op.out_precision, op.pre_nonlinear,
-            wide_inputs)
+    # op.kind is a frozen dataclass: its equality already compares the class
+    return (op.op_class, op.kind, op.repeat, op.in_precisions, op.out_precision,
+            op.pre_nonlinear, wide_inputs)
 
 
 class CostCache:
-    """Shape-keyed lookup table over per-operator cost reports (transparent)."""
+    """Lookup tables over operator and encoder-layer costs (transparent).
+
+    `cost` memoizes one operator's report by shape and accelerator; `hits`
+    and `misses` count these operator lookups. `layers(accel, seq_len)` is
+    the table `candidate_edp` keeps per encoder layer: (d, h, d_FFN) maps to
+    the layer's (latency, energy) pairs in operator order.
+    """
 
     def __init__(self):
         self._table: dict = {}
+        self._layers: dict = {}
         self.hits = 0
         self.misses = 0
 
@@ -167,7 +174,7 @@ class CostCache:
 
     def cost(self, op: OperatorSpec, accel: AcceleratorConfig,
              wide_inputs: bool = False) -> CostReport:
-        key = (_shape_key(op, wide_inputs), _accel_key(accel))
+        key = (_shape_key(op, wide_inputs), accel)
         hit = self._table.get(key)
         if hit is not None:
             self.hits += 1
@@ -177,19 +184,35 @@ class CostCache:
         self._table[key] = rep
         return rep
 
+    def layers(self, accel: AcceleratorConfig, seq_len: int) -> dict:
+        return self._layers.setdefault((accel, seq_len), {})
+
 
 def candidate_edp(c: Candidate, accel: AcceleratorConfig,
                   cache: CostCache | None = None, seq_len: int = 512) -> float:
-    """Total latency x total energy over the candidate's encoder operators."""
+    """Total latency x total energy over the candidate's encoder operators.
+
+    A layer's operators depend only on (d, h_i, d_FFN_i) at a given seq_len,
+    and no wide-input flag crosses a layer boundary (each layer starts with a
+    matmul), so each layer's per-operator costs are computed once and then
+    added up in operator order: the same sums as over `candidate_ops`.
+    """
     cache = cache if cache is not None else CostCache()
-    ops = candidate_ops(c, seq_len)
-    wide = _wide_flags(ops)
+    cfg = _encoder_config(c, seq_len)
+    layers = cache.layers(accel, seq_len)
     lat = 0.0
     energy = 0.0
-    for op, w in zip(ops, wide):
-        rep = cache.cost(op, accel, wide_inputs=w)
-        lat += rep.latency
-        energy += rep.energy
+    for i in range(c.N):
+        key = (c.d, c.h[i], c.d_FFN[i])
+        pairs = layers.get(key)
+        if pairs is None:
+            ops = layer_ops_encoder(cfg, i, heads=c.h[i], ffn_dim=c.d_FFN[i])
+            reps = [cache.cost(op, accel, wide_inputs=w)
+                    for op, w in zip(ops, _wide_flags(ops))]
+            pairs = layers[key] = tuple((r.latency, r.energy) for r in reps)
+        for op_lat, op_energy in pairs:
+            lat += op_lat
+            energy += op_energy
     return lat * energy
 
 
@@ -200,11 +223,6 @@ def evaluate(c: Candidate, accel: AcceleratorConfig, cache: CostCache | None = N
                    edp=candidate_edp(c, accel, cache, seq_len))
 
 
-def _dominates(a: Candidate, b: Candidate) -> bool:
-    return (a.quality >= b.quality and a.edp <= b.edp
-            and (a.quality > b.quality or a.edp < b.edp))
-
-
 @dataclass(frozen=True)
 class ParetoFront:
     points: tuple  # Candidates sorted by increasing edp
@@ -212,12 +230,14 @@ class ParetoFront:
     discarded: tuple = ()  # (candidate encode, reason) rows
 
     def check(self) -> "ParetoFront":
+        # with edp strictly increasing, no point is dominated exactly when
+        # quality strictly increases too
         for i, p in enumerate(self.points):
             if not p.evaluated:
                 raise ConfigError("front contains an unevaluated candidate")
             if i and not self.points[i - 1].edp < p.edp:
                 raise ConfigError("front must be strictly sorted by edp")
-            if any(_dominates(q, p) for q in self.points if q is not p):
+            if i and not self.points[i - 1].quality < p.quality:
                 raise ConfigError("front contains a dominated point")
         return self
 
@@ -227,15 +247,24 @@ class ParetoFront:
 
 
 def pareto(points: list[Candidate]) -> ParetoFront:
+    """Non-dominated points (max quality, min edp), by one sorted sweep.
+
+    This is the 2-D maxima algorithm of Kung, Luccio & Preparata (JACM 1975):
+    after sorting by (edp, -quality), a point is dominated exactly when an
+    earlier one has at least its quality.
+    """
+    if any(math.isnan(p.quality) or math.isnan(p.edp) for p in points):
+        raise ConfigError("front contains an unevaluated candidate")
     # one representative per (quality, edp) pair, canonical-encoding tie-break
     best: dict = {}
     for p in points:
         key = (p.quality, p.edp)
         if key not in best or p.encode() < best[key].encode():
             best[key] = p
-    pts = list(best.values())
-    front = [p for p in pts if not any(_dominates(q, p) for q in pts)]
-    front.sort(key=lambda p: (p.edp, -p.quality, p.encode()))
+    front: list[Candidate] = []
+    for p in sorted(best.values(), key=lambda p: (p.edp, -p.quality)):
+        if not front or front[-1].quality < p.quality:
+            front.append(p)
     return ParetoFront(tuple(front)).check()
 
 
@@ -289,7 +318,7 @@ def rescore(front: ParetoFront, accel: AcceleratorConfig,
         energy = 0.0
         for op, w in zip(ops, wide):
             plan = None
-            if type(op.kind).__name__ in ("Matmul", "Conv"):
+            if isinstance(op.kind, (Matmul, Conv)):
                 plan = greedy_tiles(op, accel)
             rep = op_latency(op, accel, plan=plan, wide_inputs=w)
             lat += rep.latency

@@ -57,6 +57,9 @@ class EnergyTable:
     dram_access: float = 200.0
 
     def check(self) -> "EnergyTable":
+        if not all(math.isfinite(v) for v in (self.mac_energy, self.scratchpad_access,
+                                              self.accumulator_access, self.dram_access)):
+            raise InfeasibleConfigError("energy table entries must be finite")
         if not (self.dram_access > self.scratchpad_access > 0):
             raise InfeasibleConfigError("energy table must satisfy dram > scratchpad > 0")
         return self
@@ -78,6 +81,8 @@ class AcceleratorConfig:
             raise InfeasibleConfigError("pe_width must be >= 1")
         if min(self.scratchpad_bytes, self.accumulator_bytes) <= 0 or self.dram_bw <= 0:
             raise InfeasibleConfigError("capacities and dram_bw must be positive")
+        if not (math.isfinite(self.dram_bw) and math.isfinite(self.sfu_vector_latency)):
+            raise InfeasibleConfigError("dram_bw and sfu_vector_latency must be finite")
         self.energy.check()
         return self
 
@@ -100,24 +105,28 @@ def accel_preset(name: str) -> AcceleratorConfig:
 
 
 def accel_from_json(doc: str | dict) -> AcceleratorConfig:
-    data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-    e = data.get("energy", {})
-    table = EnergyTable(
-        mac_energy=float(e.get("mac", 1.0)),
-        scratchpad_access=float(e.get("spad", 6.0)),
-        accumulator_access=float(e.get("acc", 12.0)),
-        dram_access=float(e.get("dram", 200.0)),
-    )
+    data = json.loads(doc) if isinstance(doc, str) else doc
+    e = data.get("energy", {}) if isinstance(data, dict) else None
+    if not isinstance(e, dict):
+        raise InfeasibleConfigError(
+            "accelerator config and its energy table must be JSON objects")
     try:
+        table = EnergyTable(
+            mac_energy=float(e.get("mac", 1.0)),
+            scratchpad_access=float(e.get("spad", 6.0)),
+            accumulator_access=float(e.get("acc", 12.0)),
+            dram_access=float(e.get("dram", 200.0)),
+        )
         cfg = AcceleratorConfig(
             pe_width=int(data.get("pe_width", 16)),
-            scratchpad_bytes=int(data.get("scratchpad_kb", 256) * 1024),
-            accumulator_bytes=int(data.get("accumulator_kb", 64) * 1024),
+            # float() first: a string times 1024 would repeat the string
+            scratchpad_bytes=int(float(data.get("scratchpad_kb", 256)) * 1024),
+            accumulator_bytes=int(float(data.get("accumulator_kb", 64)) * 1024),
             dram_bw=float(data.get("dram_bytes_per_cycle", 3.0)),
             sfu_vector_latency=float(data.get("sfu_cycles_per_vector", 1.0)),
             energy=table,
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InfeasibleConfigError(f"bad accelerator config: {exc}") from exc
     return cfg.check()
 

@@ -1,12 +1,14 @@
 """Evolutionary architecture search: space, mutation, Pareto logic, evolve loop."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfperf.workload import ConfigError
-from tfperf.hwmodel import accel_preset, op_latency
+from tfperf.hwmodel import _wide_flags, accel_preset, op_latency
 from tfperf.archsearch import (
     DEFAULT_SPACE,
     Candidate,
@@ -27,6 +29,10 @@ from tfperf.archsearch import (
 )
 
 T11 = Candidate(6, 672, (12, 6, 12, 8, 10, 6), (1280, 1280, 2560, 768, 2048, 1024))
+# Fronts, traces and discards of the evolve calls below, captured from the
+# implementation that costed every operator of every candidate through the
+# operator cache and filtered the front by pairwise dominance.
+GOLDENS = json.loads((Path(__file__).parent / "data" / "evolve_goldens.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +65,13 @@ def test_space_from_json():
     assert s.layer_counts == (3, 4)
     assert s.model_dims == (384, 768)
     assert s.heads_per_layer == DEFAULT_SPACE.heads_per_layer
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", '{"model_dims": 5}', '{"model_dims": [400.9]}',
+                                 '{"heads_per_layer": [true]}', '"space"'])
+def test_space_from_json_rejects_malformed(doc):
+    with pytest.raises(ConfigError):
+        space_from_json(doc)
 
 
 def test_candidate_check():
@@ -182,6 +195,41 @@ def test_cached_edp_matches_uncached(accel):
     assert a == b == c
 
 
+def _flat_edp(c, accel, seq_len):
+    """Reference: every operator of the candidate costed afresh, summed in op order."""
+    ops = candidate_ops(c, seq_len)
+    lat = energy = 0.0
+    for op, w in zip(ops, _wide_flags(ops)):
+        rep = op_latency(op, accel, wide_inputs=w)
+        lat += rep.latency
+        energy += rep.energy
+    return lat * energy
+
+
+@st.composite
+def _candidates(draw, space=DEFAULT_SPACE):
+    n = draw(st.sampled_from(space.layer_counts))
+    genes = st.lists(st.sampled_from(space.heads_per_layer), min_size=n, max_size=n)
+    # few FFN choices, so that layers repeat within and across candidates
+    ffns = st.lists(st.sampled_from(space.ffn_dims_per_layer[:4]), min_size=n, max_size=n)
+    return Candidate(n, draw(st.sampled_from(space.model_dims)),
+                     tuple(draw(genes)), tuple(draw(ffns)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_candidates(), min_size=1, max_size=3))
+def test_layer_memo_matches_flat_sum(cands):
+    # one cache across two accelerators and two sequence lengths: layer
+    # entries of one (accel, seq_len) must never answer for another
+    cache = CostCache()
+    accels = (accel_preset("gemmini-baseline"), accel_preset("gemmini-tuned"))
+    for c in cands:
+        for a in accels:
+            for seq_len in (256, 512):
+                assert candidate_edp(c, a, cache, seq_len) == _flat_edp(c, a, seq_len)
+    assert cache.misses == len(cache)
+
+
 def test_edp_monotone_in_architecture_size(accel):
     small = Candidate(3, 384, (4, 4, 4), (768, 768, 768))
     wider = Candidate(3, 480, (4, 4, 4), (768, 768, 768))
@@ -247,16 +295,40 @@ def test_front_check_rejects_bad():
         ParetoFront((a, dominated)).check()
     with pytest.raises(ConfigError):
         ParetoFront((Candidate(3, 384, (4, 4, 4), (768, 768, 768)),)).check()
+    with pytest.raises(ConfigError):
+        pareto([a, Candidate(3, 384, (4, 4, 4), (768, 768, 768))])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8),
+                          st.sampled_from(DEFAULT_SPACE.model_dims)),
                 min_size=1, max_size=40))
-def test_pareto_property_clouds(pairs):
-    cloud = [Candidate(3, 384, (4, 4, 4), (768, 768, 768),
-                       quality=float(q), edp=float(e)) for q, e in pairs]
+def test_pareto_property_clouds(points):
+    cloud = [Candidate(3, d, (4, 4, 4), (768, 768, 768),
+                       quality=float(q), edp=float(e)) for q, e, d in points]
     front = pareto(cloud)
     assert {(p.quality, p.edp) for p in front.points} == _brute_front(cloud)
+    for p in front.points:  # tied points keep their smallest encoding
+        assert p.encode() == min(c.encode() for c in cloud
+                                 if (c.quality, c.edp) == (p.quality, p.edp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8),
+       st.booleans())
+def test_front_check_matches_brute_force(pairs, sort_by_edp):
+    if sort_by_edp:
+        pairs = sorted(pairs, key=lambda qe: qe[1])
+    pts = tuple(Candidate(3, 384, (4, 4, 4), (768, 768, 768),
+                          quality=float(q), edp=float(e)) for q, e in pairs)
+    strictly_sorted = all(a.edp < b.edp for a, b in zip(pts, pts[1:]))
+    valid = strictly_sorted and len(_brute_front(pts)) == len(pts)
+    try:
+        ParetoFront(pts).check()
+    except ConfigError:
+        assert not valid
+    else:
+        assert valid
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +385,23 @@ def test_evolve_shares_cache(accel):
     cache = CostCache()
     evolve(pop=8, rounds=4, seed=1, accel=accel, cache=cache)
     assert cache.hits > 0  # repeated shapes across candidates actually hit
+
+
+def _front_doc(front):
+    return {"points": [[list(c.encode()), c.quality.hex(), c.edp.hex()]
+                       for c in front.points],
+            "trace": [[r, e.hex(), s] for r, e, s in front.trace],
+            "discarded": [[list(enc), msg] for enc, msg in front.discarded]}
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda g: f"seed{g['seed']}")
+def test_evolve_matches_goldens(golden, accel):
+    front = evolve(pop=golden["pop"], rounds=golden["rounds"], p=golden["p"],
+                   seed=golden["seed"], accel=accel)
+    want = {k: golden[k] for k in ("points", "trace", "discarded")}
+    assert _front_doc(front) == want
+    if "rescore" in golden:
+        assert _front_doc(rescore(front, accel)) == golden["rescore"]
 
 
 def test_rescore_front(accel):

@@ -180,6 +180,26 @@ def test_search_rejects_bad_pop(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", ["[1, 2]", '{"model_dims": 5}', '{"model_dims": [400.9]}',
+                                 '{"heads_per_layer": [true]}'])
+def test_malformed_space_exits_2(tmp_path, capsys, doc):
+    space = tmp_path / "space.json"
+    space.write_text(doc)
+    code, _, err = run(capsys, "search", "--space", str(space), "--pop", "4", "--rounds", "1")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", ['{"energy": 5}', '{"dram_bytes_per_cycle": "nan"}',
+                                 '{"scratchpad_kb": 1e400}', '{"energy": {"mac": "inf"}}'])
+def test_malformed_accel_exits_2(tmp_path, capsys, doc):
+    accel = tmp_path / "accel.json"
+    accel.write_text(doc)
+    code, _, err = run(capsys, "latency", "--accel", str(accel), "--seqlen", "64")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Config files, output files, report envelope
 # ---------------------------------------------------------------------------

@@ -287,6 +287,7 @@ def test_accel_from_json():
     assert a.energy.dram_access == 200.0
     b = accel_from_json({"energy": {"dram": 100, "spad": 2}})
     assert (b.energy.dram_access, b.energy.scratchpad_access) == (100.0, 2.0)
+    assert accel_from_json('{"scratchpad_kb": "32"}').scratchpad_bytes == 32 * 1024
 
 
 def test_accel_check_errors():
@@ -298,6 +299,10 @@ def test_accel_check_errors():
         AcceleratorConfig(energy=EnergyTable(dram_access=1.0)).check()
     with pytest.raises(InfeasibleConfigError):
         accel_from_json({"pe_width": "wide"})
+    for doc in ('{"energy": 5}', '{"dram_bytes_per_cycle": "nan"}',
+                '{"accumulator_kb": Infinity}', '{"energy": {"acc": NaN}}', '[]'):
+        with pytest.raises(InfeasibleConfigError):
+            accel_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
