@@ -60,6 +60,7 @@ from .mapspace import (  # noqa: F401
     random_mapping,
     sample_costs,
     sample_stats,
+    stats_from_costs,
 )
 from .fusion import (  # noqa: F401
     FusionConsumer,

@@ -18,9 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .hwmodel import AcceleratorConfig, CostReport, _wide_flags, greedy_tiles, op_latency
+from .hwmodel import (AcceleratorConfig, CostReport, InfeasibleConfigError, _wide_flags,
+                      greedy_tiles, op_latency)
 from .workload import (ConfigError, Conv, Matmul, Mode, ModelConfig, OperatorSpec,
-                       layer_ops_encoder)
+                       check_keys, layer_ops_encoder)
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,16 @@ class SearchSpace:
 DEFAULT_SPACE = SearchSpace()
 
 
+_SPACE_KEYS = ("layer_counts", "heads_per_layer", "model_dims", "ffn_dims_per_layer")
+
+
 def space_from_json(doc: str | dict) -> SearchSpace:
     data = json.loads(doc) if isinstance(doc, str) else doc
     if not isinstance(data, dict):
         raise ConfigError("search space must be a JSON object")
+    check_keys(data, _SPACE_KEYS, "search space")
     kw = {}
-    for key in ("layer_counts", "heads_per_layer", "model_dims", "ffn_dims_per_layer"):
+    for key in _SPACE_KEYS:
         if key in data:
             vals = data[key]
             # bool is an int subclass; JSON true must not pass as 1
@@ -298,6 +303,9 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
             except (ConfigError, ValueError) as exc:
                 discarded.append((c.encode(), str(exc)))
         front = pareto(list(front.points) + scored)
+        if not front.points:  # every candidate so far was discarded: none to mutate
+            raise InfeasibleConfigError(
+                f"no candidate fits the accelerator; first discard: {discarded[0][1]}")
         trace.append((rnd, front.min_edp, len(front.points)))
         population = []
         i = 0

@@ -110,15 +110,15 @@ def cmd_mapsearch(args):
         raise ConfigError(f"unknown op {args.op!r}; choose from "
                           f"{sorted(mapspace.NAMED_NESTS)}") from None
     lat, en = mapspace.sample_costs(nest, accel, args.samples, args.seed)
-    edp = lat * en
-    rel = edp / edp.min()
     if args.format == "json":
-        stats = mapspace.sample_stats(nest, accel, args.samples, args.seed)
+        stats = mapspace.stats_from_costs(lat, en)
         cols = ["n_samples", "min_edp", "p10", "spread", "frac_within_3x"]
         rows = [{"n_samples": stats.n_samples, "min_edp": stats.min_edp,
                  "p10": stats.p10, "spread": stats.spread,
                  "frac_within_3x": stats.frac_within(3.0)}]
         return rows, cols, {}
+    edp = lat * en
+    rel = edp / edp.min()
     cols = ["sample_idx", "latency", "energy", "edp", "relative_edp"]
     rows = [{"sample_idx": i, "latency": float(lat[i]), "energy": float(en[i]),
              "edp": float(edp[i]), "relative_edp": float(rel[i])}
@@ -179,9 +179,9 @@ def emit(report: dict, columns: list, fmt: str, out: str | None) -> int:
         text = json.dumps(report, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        w.writeheader()
-        w.writerows(report["rows"])
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([r.get(c, "") for c in columns] for r in report["rows"])
         text = buf.getvalue()
     data = text.encode("utf-8")
     if out:

@@ -36,7 +36,9 @@ from .workload import (
     OperatorSpec,
     _a2a_static,
     category_of,
+    check_keys,
     flops,
+    json_int,
     model_ops,
 )
 
@@ -104,6 +106,11 @@ def accel_preset(name: str) -> AcceleratorConfig:
                              accumulator_bytes=p["accumulator_kb"] * 1024).check()
 
 
+_ACCEL_KEYS = ("pe_width", "scratchpad_kb", "accumulator_kb", "dram_bytes_per_cycle",
+               "sfu_cycles_per_vector", "energy")
+_ENERGY_KEYS = ("mac", "spad", "acc", "dram")
+
+
 def accel_from_json(doc: str | dict) -> AcceleratorConfig:
     data = json.loads(doc) if isinstance(doc, str) else doc
     e = data.get("energy", {}) if isinstance(data, dict) else None
@@ -111,6 +118,8 @@ def accel_from_json(doc: str | dict) -> AcceleratorConfig:
         raise InfeasibleConfigError(
             "accelerator config and its energy table must be JSON objects")
     try:
+        check_keys(data, _ACCEL_KEYS, "accelerator config")
+        check_keys(e, _ENERGY_KEYS, "energy table")
         table = EnergyTable(
             mac_energy=float(e.get("mac", 1.0)),
             scratchpad_access=float(e.get("spad", 6.0)),
@@ -118,7 +127,7 @@ def accel_from_json(doc: str | dict) -> AcceleratorConfig:
             dram_access=float(e.get("dram", 200.0)),
         )
         cfg = AcceleratorConfig(
-            pe_width=int(data.get("pe_width", 16)),
+            pe_width=json_int(data.get("pe_width", 16), "pe_width"),
             # float() first: a string times 1024 would repeat the string
             scratchpad_bytes=int(float(data.get("scratchpad_kb", 256)) * 1024),
             accumulator_bytes=int(float(data.get("accumulator_kb", 64)) * 1024),

@@ -190,14 +190,16 @@ def validate(m: Mapping, nest: LoopNest, accel: AcceleratorConfig,
 # Batch sampling (array-of-mappings form shared with the kernels)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _perm_table(ndims: int) -> np.ndarray:
     """All permutations as a (n!, ndims) position table: row p, column d =
-    position of dim d in permutation p."""
+    position of dim d in permutation p. Shared by every caller, so read-only."""
     perms = list(itertools.permutations(range(ndims)))
     table = np.empty((len(perms), ndims), dtype=np.int64)
     for i, perm in enumerate(perms):
         for pos, d in enumerate(perm):
             table[i, d] = pos
+    table.setflags(write=False)
     return table
 
 
@@ -219,24 +221,42 @@ class _Batch:
     def positions(self) -> np.ndarray:
         return _perm_table(len(self.nest.names))[self.perm_idx].T.copy()
 
+    def take(self, idx: np.ndarray) -> "_Batch":
+        """The mappings at columns idx, in that order."""
+        out = _Batch(self.nest, 0)
+        out.spatial = self.spatial[:, idx]
+        out.tiles = self.tiles[:, idx]
+        out.perm_idx = self.perm_idx[idx]
+        return out
+
 
 def _sample_batch(nest: LoopNest, accel: AcceleratorConfig, n: int,
                   rng: np.random.Generator,
                   precisions: tuple[int, int, int]) -> _Batch:
     """n candidate mappings drawn uniformly (not yet validity-filtered)."""
-    W = accel.pe_width
+    sdivs = _divisors(accel.pe_width)
+    sdiv_arr = np.array(sdivs, dtype=np.int64)
     batch = _Batch(nest, n)
-    sdivs = np.array(_divisors(W), dtype=np.int64)
     sdims = nest.spatial_dims
     for d, (name, ext) in enumerate(nest.dims):
-        if name in sdims:
-            batch.spatial[d] = sdivs[rng.integers(0, len(sdivs), size=n)]
-        # tile choice sets depend on the sampled spatial factor
-        svals = np.unique(batch.spatial[d])
-        for s in svals:
-            mask = batch.spatial[d] == s
-            choices = np.array(_tile_choices(ext, int(s)), dtype=np.int64)
-            batch.tiles[d, mask] = choices[rng.integers(0, len(choices), size=int(mask.sum()))]
+        if name not in sdims:  # spatial factor 1: one tile choice set
+            choices = np.array(_tile_choices(ext, 1), dtype=np.int64)
+            batch.tiles[d] = choices[rng.integers(0, len(choices), size=n)]
+            continue
+        j = rng.integers(0, len(sdivs), size=n)
+        batch.spatial[d] = sdiv_arr[j]
+        # tile choice sets depend on the spatial factor: draw per factor in
+        # ascending order, then scatter each group to its rows in row order
+        drawn = np.empty(n, dtype=np.int64)
+        start = 0
+        for s, c in zip(sdivs, np.bincount(j, minlength=len(sdivs)).tolist()):
+            if c:
+                choices = np.array(_tile_choices(ext, s), dtype=np.int64)
+                drawn[start:start + c] = choices[rng.integers(0, len(choices), size=c)]
+                start += c
+        # a narrow key lets the stable sort use radix sort; the order is the same
+        key = j.astype(np.min_scalar_type(len(sdivs) - 1))
+        batch.tiles[d, np.argsort(key, kind="stable")] = drawn
     nperm = math.factorial(len(nest.names))
     batch.perm_idx = rng.integers(0, nperm, size=n)
     return batch
@@ -402,29 +422,33 @@ def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    lats = np.empty(0, dtype=np.float64)
-    ens = np.empty(0, dtype=np.float64)
+    lats = np.empty(n, dtype=np.float64)
+    ens = np.empty(n, dtype=np.float64)
+    got = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
-        need = n - len(lats)
+        need = n - got
         if need == 0:
             break
         batch = _sample_batch(nest, accel, max(need * 2, 1024), rng, precisions)
-        ok = _valid_mask(batch, accel, precisions)
-        if not ok.any():
+        # the kernels are elementwise, so costing only the kept columns gives
+        # each of them the same latency and energy as costing the whole batch
+        keep = np.flatnonzero(_valid_mask(batch, accel, precisions))[:need]
+        if not len(keep):
             continue
+        batch = batch.take(keep)  # drops the rest of the draw before the kernels run
         lat, en = _eval_batch(batch, accel, precisions)
-        lats = np.concatenate([lats, lat[ok][:need]])
-        ens = np.concatenate([ens, en[ok][:need]])
-    if len(lats) < n:
+        lats[got:got + len(keep)] = lat
+        ens[got:got + len(keep)] = en
+        got += len(keep)
+    if got < n:
         raise InfeasibleConfigError(
             f"could not draw {n} valid mappings for {nest.names}")
     return lats, ens
 
 
-def sample_stats(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
-                 precisions: tuple[int, int, int] = (1, 1, 1)) -> MapspaceStats:
-    """EDP statistics over n uniformly sampled valid mappings."""
-    lats, ens = sample_costs(nest, accel, n, seed, precisions)
+def stats_from_costs(lats: np.ndarray, ens: np.ndarray) -> MapspaceStats:
+    """EDP statistics over sampled (latency, energy) arrays."""
+    n = len(lats)
     edps = lats * ens
     min_edp = float(edps.min())
     rel = edps / min_edp
@@ -432,6 +456,12 @@ def sample_stats(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
     p10 = float(cdf[int(0.10 * (n - 1))])
     return MapspaceStats(n_samples=n, min_edp=min_edp, relative_edps=rel,
                          cdf=cdf, p10=p10)
+
+
+def sample_stats(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
+                 precisions: tuple[int, int, int] = (1, 1, 1)) -> MapspaceStats:
+    """EDP statistics over n uniformly sampled valid mappings."""
+    return stats_from_costs(*sample_costs(nest, accel, n, seed, precisions))
 
 
 def mapspace_size(nest: LoopNest, accel: AcceleratorConfig) -> int:

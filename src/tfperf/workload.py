@@ -504,20 +504,42 @@ def model_preset(name: str, seq_len: int = 512) -> ModelConfig:
                        mode=Mode(p["mode"])).check()
 
 
+def json_int(value, key: str) -> int:
+    """An integer config value. JSON true is not 1, and 16.7 is not 16."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def check_keys(data: dict, known: Sequence[str], what: str) -> None:
+    """Reject keys a loader would ignore: a misspelt key must not run a default."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown}; known: {sorted(known)}")
+
+
+_MODEL_KEYS = ("name", "layers", "d", "heads", "d_ffn", "seq_len", "mode",
+               "act_bytes", "weight_bytes", "accum_bytes")
+
+
 def model_from_json(doc: str | dict, seq_len: int | None = None) -> ModelConfig:
-    data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+    data = json.loads(doc) if isinstance(doc, str) else doc
+    if not isinstance(data, dict):
+        raise ConfigError("model config must be a JSON object")
+    check_keys(data, _MODEL_KEYS, "model config")
     try:
         cfg = ModelConfig(
             name=data.get("name", "custom"),
-            num_layers=int(data["layers"]),
-            model_dim=int(data["d"]),
-            num_heads=int(data["heads"]),
-            ffn_dim=int(data["d_ffn"]),
-            seq_len=int(seq_len if seq_len is not None else data.get("seq_len", 512)),
+            num_layers=json_int(data["layers"], "layers"),
+            model_dim=json_int(data["d"], "d"),
+            num_heads=json_int(data["heads"], "heads"),
+            ffn_dim=json_int(data["d_ffn"], "d_ffn"),
+            seq_len=(json_int(data.get("seq_len", 512), "seq_len") if seq_len is None
+                     else int(seq_len)),
             mode=Mode(data.get("mode", "encoder")),
-            activation_precision=int(data.get("act_bytes", 1)),
-            weight_precision=int(data.get("weight_bytes", 1)),
-            wide_accum_precision=int(data.get("accum_bytes", 4)),
+            activation_precision=json_int(data.get("act_bytes", 1), "act_bytes"),
+            weight_precision=json_int(data.get("weight_bytes", 1), "weight_bytes"),
+            wide_accum_precision=json_int(data.get("accum_bytes", 4), "accum_bytes"),
         )
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad model config: {e}") from e

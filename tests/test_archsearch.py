@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfperf.workload import ConfigError
-from tfperf.hwmodel import _wide_flags, accel_preset, op_latency
+from tfperf.hwmodel import (AcceleratorConfig, InfeasibleConfigError, _wide_flags,
+                            accel_preset, op_latency)
 from tfperf.archsearch import (
     DEFAULT_SPACE,
     Candidate,
@@ -68,7 +69,8 @@ def test_space_from_json():
 
 
 @pytest.mark.parametrize("doc", ["[1, 2]", '{"model_dims": 5}', '{"model_dims": [400.9]}',
-                                 '{"heads_per_layer": [true]}', '"space"'])
+                                 '{"heads_per_layer": [true]}', '"space"',
+                                 '{"model_dim": [384]}', '{"layers": [3], "model_dims": [384]}'])
 def test_space_from_json_rejects_malformed(doc):
     with pytest.raises(ConfigError):
         space_from_json(doc)
@@ -379,6 +381,13 @@ def test_evolve_rejects_bad_args(accel):
         evolve(pop=1, rounds=1, accel=accel)
     with pytest.raises(ConfigError):
         evolve(pop=4, rounds=0, accel=accel)
+
+
+def test_evolve_rejects_accel_fitting_no_operator():
+    tiny = AcceleratorConfig(scratchpad_bytes=64, accumulator_bytes=64)
+    with pytest.raises(InfeasibleConfigError, match="no candidate fits the accelerator; "
+                                                    "first discard: no 16x16 tile fits"):
+        evolve(pop=4, rounds=3, accel=tiny, cache=CostCache())
 
 
 def test_evolve_shares_cache(accel):

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from tfperf.cli import main
+from tfperf import mapspace
+from tfperf.cli import build_parser, main
+from tfperf.hwmodel import accel_preset
 
 
 def run(capsys, *argv):
@@ -152,6 +154,26 @@ def test_mapsearch_json_stats(capsys):
     assert row["spread"] >= 1.0
 
 
+def test_mapsearch_json_samples_once(capsys, monkeypatch):
+    calls = []
+    sample_costs = mapspace.sample_costs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_costs(*args, **kwargs)
+
+    monkeypatch.setattr(mapspace, "sample_costs", counted)
+    _, out, _ = run(capsys, "mapsearch", "--op", "resnet.c3", "--samples", "3000",
+                    "--seed", "9", "--format", "json")
+    assert len(calls) == 1
+    monkeypatch.undo()
+    (row,) = json.loads(out)["rows"]
+    s = mapspace.sample_stats(mapspace.NAMED_NESTS["resnet.c3"],
+                              accel_preset("gemmini-baseline"), 3000, 9)
+    assert row == {"n_samples": s.n_samples, "min_edp": s.min_edp, "p10": s.p10,
+                   "spread": s.spread, "frac_within_3x": s.frac_within(3.0)}
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
@@ -180,8 +202,18 @@ def test_search_rejects_bad_pop(capsys):
     assert code == 2
 
 
+def test_search_on_accel_fitting_no_operator_exits_2(tmp_path, capsys):
+    accel = tmp_path / "tiny.json"
+    accel.write_text(json.dumps({"scratchpad_kb": 0.0625, "accumulator_kb": 0.0625}))
+    code, out, err = run(capsys, "search", "--accel", str(accel), "--pop", "4",
+                         "--rounds", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no candidate fits the accelerator")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("doc", ["[1, 2]", '{"model_dims": 5}', '{"model_dims": [400.9]}',
-                                 '{"heads_per_layer": [true]}'])
+                                 '{"heads_per_layer": [true]}', '{"model_dim": [384]}'])
 def test_malformed_space_exits_2(tmp_path, capsys, doc):
     space = tmp_path / "space.json"
     space.write_text(doc)
@@ -191,11 +223,28 @@ def test_malformed_space_exits_2(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("doc", ['{"energy": 5}', '{"dram_bytes_per_cycle": "nan"}',
-                                 '{"scratchpad_kb": 1e400}', '{"energy": {"mac": "inf"}}'])
+                                 '{"scratchpad_kb": 1e400}', '{"energy": {"mac": "inf"}}',
+                                 '{"pe_width": true}', '{"pe_width": 16.7}',
+                                 '{"pe_widht": 8}', '{"energy": {"dram_pj": 100}}'])
 def test_malformed_accel_exits_2(tmp_path, capsys, doc):
     accel = tmp_path / "accel.json"
     accel.write_text(doc)
     code, _, err = run(capsys, "latency", "--accel", str(accel), "--seqlen", "64")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_MODEL = '"layers": 2, "d": 128, "heads": 4, "d_ffn": 256'
+
+
+@pytest.mark.parametrize("doc", ['{"layers": true, "d": 128, "heads": 4, "d_ffn": 256}',
+                                 '{"layers": 1.7, "d": 128, "heads": 4, "d_ffn": 256}',
+                                 "{" + _MODEL + ', "weight_bytes": 2.5}',
+                                 "{" + _MODEL + ', "model_dim": 768}', "[2, 128]"])
+def test_malformed_model_exits_2(tmp_path, capsys, doc):
+    model = tmp_path / "model.json"
+    model.write_text(doc)
+    code, _, err = run(capsys, "analyze", "--model", str(model), "--seqlen", "64")
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -252,3 +301,25 @@ def test_csv_has_no_metadata_lines(capsys):
     _, out, _ = run(capsys, "memsweep")
     first = out.splitlines()[0]
     assert first == "scratchpad_kb,accumulator_kb,latency_cycles,feasible,best"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--seqlen", "128"),
+    ("analyze", "--model", "resnet50"),
+    ("latency", "--seqlen", "256"),
+    ("nonideal-ai", "--model", "gpt2", "--seqlen", "128"),
+    ("memsweep",),
+    ("mapsearch", "--op", "bert.qk", "--samples", "300", "--seed", "4"),
+    ("fusion", "--acc-kb", "64", "--seqlen", "512"),
+    ("search", "--pop", "6", "--rounds", "3", "--seed", "1"),
+], ids=lambda a: "-".join(a[:3]))
+def test_csv_bytes_match_dictwriter(capsys, argv):
+    args = build_parser().parse_args(list(argv))
+    rows, columns, _ = args.func(args)
+    oracle = io.StringIO()
+    w = csv.DictWriter(oracle, fieldnames=columns, lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == oracle.getvalue()

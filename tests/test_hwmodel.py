@@ -305,6 +305,21 @@ def test_accel_check_errors():
             accel_from_json(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"pe_width": True}, {"pe_width": False}, {"pe_width": 16.7}, {"pe_width": "16.5"},
+    {"pe_width": 1e400}, {"pe_width": None}, {"pe_widht": 16}, {"name": "gemmini"},
+    {"scratchpad_kb": 64, "accumulator": 64}, {"energy": {"dram_pj": 100.0}},
+])
+def test_accel_from_json_rejects_malformed(doc):
+    with pytest.raises(InfeasibleConfigError):
+        accel_from_json(doc)
+
+
+def test_accel_from_json_integral_pe_width():
+    assert accel_from_json({"pe_width": 8.0}).pe_width == 8
+    assert accel_from_json({"pe_width": "32"}).pe_width == 32
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------

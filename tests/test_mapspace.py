@@ -1,4 +1,9 @@
 """Mapspace sampling, validation, statistics, exhaustive search, backends."""
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +11,10 @@ from hypothesis import given, settings, strategies as st
 from tfperf.workload import Conv, Matmul, OperatorClass, OperatorSpec, resnet50_ops
 from tfperf.hwmodel import AcceleratorConfig, InfeasibleConfigError, accel_preset
 from tfperf.mapspace import (
+    _divisors,
+    _perm_table,
+    _sample_batch,
+    _tile_choices,
     NAMED_NESTS,
     LoopNest,
     Mapping,
@@ -20,6 +29,7 @@ from tfperf.mapspace import (
     random_mapping,
     sample_costs,
     sample_stats,
+    stats_from_costs,
     validate,
 )
 
@@ -190,6 +200,92 @@ def test_bert_mha_stats_frozen(accel):
     assert s.p10 == pytest.approx(6.234734444959086, rel=1e-12)
     assert s.spread >= 1e3
     assert 0.003 <= s.frac_within(3) <= 0.08
+
+
+def _assert_stats_equal(a, b):
+    assert a.n_samples == b.n_samples
+    assert a.min_edp == b.min_edp and a.p10 == b.p10 and a.spread == b.spread
+    assert np.array_equal(a.relative_edps, b.relative_edps)
+    assert np.array_equal(a.cdf, b.cdf)
+
+
+@pytest.mark.parametrize("op,n,seed", [("bert.qk", 500, 11), ("resnet.c3", 1, 2),
+                                       ("bert.mha", 3000, 7)])
+def test_stats_from_costs_matches_sample_stats(accel, op, n, seed):
+    nest = NAMED_NESTS[op]
+    _assert_stats_equal(stats_from_costs(*sample_costs(nest, accel, n, seed)),
+                        sample_stats(nest, accel, n, seed))
+
+
+# sha256 of sample_costs' latency and energy bytes, captured from the sampler
+# that costed every drawn row and grouped tiles with np.unique and one mask
+# per spatial factor. "w16-tight" needs several rejection rounds; on
+# "w16-starved" some rounds keep no row and n=1000 runs out of rounds.
+MAPSPACE_GOLDENS = json.loads(
+    (Path(__file__).parent / "data" / "mapspace_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("case", MAPSPACE_GOLDENS["cases"],
+                         ids=lambda c: f"{c['nest']}-{c['accel']}-n{c['n']}-s{c['seed']}")
+def test_sample_costs_matches_goldens(case):
+    accel = AcceleratorConfig(**MAPSPACE_GOLDENS["accels"][case["accel"]]).check()
+    nest = NAMED_NESTS[case["nest"]]
+    if case.get("infeasible"):
+        with pytest.raises(InfeasibleConfigError):
+            sample_costs(nest, accel, case["n"], case["seed"])
+        return
+    lat, en = sample_costs(nest, accel, case["n"], case["seed"])
+    assert len(lat) == len(en) == case["n"]
+    assert hashlib.sha256(lat.tobytes()).hexdigest() == case["lat_sha256"]
+    assert hashlib.sha256(en.tobytes()).hexdigest() == case["en_sha256"]
+
+
+def _sample_batch_reference(nest, accel, n, rng):
+    """The grouping _sample_batch replaced: np.unique over the drawn spatial
+    factors, then one boolean mask per factor."""
+    d = len(nest.names)
+    spatial = np.ones((d, n), dtype=np.int64)
+    tiles = np.ones((d, n), dtype=np.int64)
+    sdivs = np.array(_divisors(accel.pe_width), dtype=np.int64)
+    for i, (name, ext) in enumerate(nest.dims):
+        if name in nest.spatial_dims:
+            spatial[i] = sdivs[rng.integers(0, len(sdivs), size=n)]
+        for s in np.unique(spatial[i]):
+            mask = spatial[i] == s
+            choices = np.array(_tile_choices(ext, int(s)), dtype=np.int64)
+            tiles[i, mask] = choices[rng.integers(0, len(choices), size=int(mask.sum()))]
+    perm_idx = rng.integers(0, math.factorial(d), size=n)
+    return spatial, tiles, perm_idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(nest=st.one_of(
+           st.sampled_from(sorted(NAMED_NESTS)).map(NAMED_NESTS.get),
+           st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
+           .map(lambda t: matmul_nest(*t)),
+           st.tuples(st.integers(1, 3), st.integers(1, 24), st.integers(1, 24),
+                     st.integers(1, 9), st.integers(1, 2))
+           .map(lambda t: conv_nest(Conv(t[0], t[1], t[2], t[3], t[3], stride=t[4])))),
+       pe_width=st.sampled_from([1, 2, 7, 8, 12, 16, 32, 60, 5040]),
+       n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_batch_matches_unique_mask_reference(nest, pe_width, n, seed):
+    accel = AcceleratorConfig(pe_width=pe_width)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = _sample_batch(nest, accel, n, rng, (1, 1, 1))
+    spatial, tiles, perm_idx = _sample_batch_reference(nest, accel, n, ref_rng)
+    assert np.array_equal(batch.spatial, spatial)
+    assert np.array_equal(batch.tiles, tiles)
+    assert np.array_equal(batch.perm_idx, perm_idx)
+    # the same draws in the same order leave both generators in the same state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_perm_table_is_shared_and_read_only():
+    table = _perm_table(3)
+    assert _perm_table(3) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+    assert _perm_table(3)[0].tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,31 @@ def test_model_from_json():
         model_from_json('{"layers": 2}')
 
 
+_TINY = {"layers": 2, "d": 128, "heads": 4, "d_ffn": 512}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("layers", True), ("layers", 1.7), ("d", 128.5), ("heads", False), ("d_ffn", 512.25),
+    ("act_bytes", True), ("weight_bytes", 1.5), ("accum_bytes", 4.1), ("seq_len", 64.5),
+    ("model_dim", 768), ("cnn", True), ("d_FFN", 512),
+])
+def test_model_from_json_rejects_malformed(field, value):
+    with pytest.raises(ConfigError):
+        model_from_json({**_TINY, field: value})
+
+
+@pytest.mark.parametrize("doc", ["[2, 128, 4, 512]", '"bert"', "5"])
+def test_model_from_json_rejects_non_object(doc):
+    with pytest.raises(ConfigError):
+        model_from_json(doc)
+
+
+def test_model_from_json_integral_values():
+    cfg = model_from_json({**_TINY, "layers": 3.0, "act_bytes": 2.0})
+    assert (cfg.num_layers, cfg.activation_precision) == (3, 2)
+    assert type(cfg.num_layers) is int
+
+
 def test_profile_empty_raises():
     with pytest.raises(EmptyProfileError):
         profile([])
