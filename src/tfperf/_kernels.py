@@ -1,40 +1,13 @@
-"""Batch mapping-evaluation kernels.
+"""Batch mapping-evaluation kernels (vectorized numpy, float64).
 
-Two interchangeable backends compute identical float64 arithmetic:
-- numba @njit scalar loops (default when numba imports cleanly);
-- vectorized numpy (fallback, or forced with TFPERF_BACKEND=numpy).
-
-All kernels take per-sample integer arrays (padded extents, spatial factors,
-tile sizes, loop positions) plus scalar hardware parameters, and fill
-latency/energy output arrays.
+Each kernel takes per-sample integer arrays (padded extents, spatial factors,
+tile sizes, loop positions) plus scalar hardware parameters, and returns
+per-sample arrays (lat, en, dram, compute): latency in cycles, energy, DRAM
+bytes and compute cycles.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend() -> str:
-    env = os.environ.get("TFPERF_BACKEND", "").strip().lower()
-    if env in ("numba", "numpy"):
-        if env == "numba" and not HAS_NUMBA:
-            raise RuntimeError("TFPERF_BACKEND=numba but numba is not installed")
-        return env
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +18,8 @@ def backend() -> str:
 # above some iterating (F > 1) relevant loop; partial outputs spill when a
 # reduction loop iterates above an iterating output-dim loop.
 
-def _matmul_eval_np(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
-                    in1_b, in2_b, out_b, W, bw,
-                    e_mac, e_spad, e_acc, e_dram, lat, en):
+def matmul_eval(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
+                in1_b, in2_b, out_b, W, bw, e_mac, e_spad, e_acc, e_dram):
     Fm = Pm // tm
     Fk = Pk // tk
     Fn = Pn // tn
@@ -67,61 +39,11 @@ def _matmul_eval_np(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
     dram = in1_bytes + in2_bytes + out_bytes
     macs = Pm.astype(np.float64) * Pk * Pn
     compute = macs / (sm * sn).astype(np.float64) + W * (Fm * Fk * Fn).astype(np.float64)
-    lat[:] = np.maximum(compute, dram / bw)
+    lat = np.maximum(compute, dram / bw)
     spad = in1_bytes + in2_bytes + macs * (in1_b + in2_b) / W
     acc = macs * 4.0 / W + out_bytes
-    en[:] = macs * e_mac + spad * e_spad + acc * e_acc + dram * e_dram
-
-
-@njit(cache=True)
-def _matmul_eval_nb(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
-                    in1_b, in2_b, out_b, W, bw,
-                    e_mac, e_spad, e_acc, e_dram, lat, en):
-    for i in range(Pm.shape[0]):
-        Fm = Pm[i] // tm[i]
-        Fk = Pk[i] // tk[i]
-        Fn = Pn[i] // tn[i]
-
-        rel1 = -1
-        if Fm > 1 and pos_m[i] > rel1:
-            rel1 = pos_m[i]
-        if Fk > 1 and pos_k[i] > rel1:
-            rel1 = pos_k[i]
-        mult1 = Fn if pos_n[i] < rel1 else 1
-        rel2 = -1
-        if Fk > 1 and pos_k[i] > rel2:
-            rel2 = pos_k[i]
-        if Fn > 1 and pos_n[i] > rel2:
-            rel2 = pos_n[i]
-        mult2 = Fm if pos_m[i] < rel2 else 1
-        in1_bytes = float(Pm[i] * Pk[i]) * in1_b * mult1
-        in2_bytes = float(Pk[i] * Pn[i]) * in2_b * mult2
-
-        spill = Fk > 1 and ((Fm > 1 and pos_m[i] > pos_k[i])
-                            or (Fn > 1 and pos_n[i] > pos_k[i]))
-        out_elems = float(Pm[i] * Pn[i])
-        out_bytes = out_elems * 4.0 * Fk if spill else out_elems * out_b
-
-        dram = in1_bytes + in2_bytes + out_bytes
-        macs = float(Pm[i]) * Pk[i] * Pn[i]
-        compute = macs / float(sm[i] * sn[i]) + W * float(Fm * Fk * Fn)
-        mem = dram / bw
-        lat[i] = compute if compute > mem else mem
-        spad = in1_bytes + in2_bytes + macs * (in1_b + in2_b) / W
-        acc = macs * 4.0 / W + out_bytes
-        en[i] = macs * e_mac + spad * e_spad + acc * e_acc + dram * e_dram
-
-
-def matmul_eval(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
-                in1_b, in2_b, out_b, W, bw, e_mac, e_spad, e_acc, e_dram):
-    n = len(Pm)
-    lat = np.empty(n, dtype=np.float64)
-    en = np.empty(n, dtype=np.float64)
-    fn = _matmul_eval_nb if backend() == "numba" else _matmul_eval_np
-    fn(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
-       float(in1_b), float(in2_b), float(out_b), float(W), float(bw),
-       float(e_mac), float(e_spad), float(e_acc), float(e_dram), lat, en)
-    return lat, en
+    en = macs * e_mac + spad * e_spad + acc * e_acc + dram * e_dram
+    return lat, en, dram, compute
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +52,8 @@ def matmul_eval(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
 # Dim order everywhere: (oc, ic, kh, kw, oh, ow). The input footprint carries
 # the kernel halo, so kh/kw loops never force input re-fetches.
 
-def _conv_eval_np(P, s_oc, s_ic, T, pos, stride,
-                  act_b, w_b, out_b, W, bw,
-                  e_mac, e_spad, e_acc, e_dram, lat, en):
+def conv_eval(P, s_oc, s_ic, T, pos, stride,
+              act_b, w_b, out_b, W, bw, e_mac, e_spad, e_acc, e_dram):
     Poc, Pic, Pkh, Pkw, Poh, Pow = (P[j] for j in range(6))
     F = [P[j] // T[j] for j in range(6)]
     Foc, Fic, Fkh, Fkw, Foh, Fow = F
@@ -173,88 +94,8 @@ def _conv_eval_np(P, s_oc, s_ic, T, pos, stride,
     macs = (Poc * Pic * Pkh * Pkw).astype(np.float64) * Poh * Pow
     fills = (Foc * Fic * Fkh).astype(np.float64) * Fkw * Foh * Fow
     compute = macs / (s_oc * s_ic).astype(np.float64) + W * fills
-    lat[:] = np.maximum(compute, dram / bw)
+    lat = np.maximum(compute, dram / bw)
     spad = w_bytes + i_bytes + macs * (act_b + w_b) / W
     acc = macs * 4.0 / W + o_bytes
-    en[:] = macs * e_mac + spad * e_spad + acc * e_acc + dram * e_dram
-
-
-@njit(cache=True)
-def _conv_eval_nb(P, s_oc, s_ic, T, pos, stride,
-                  act_b, w_b, out_b, W, bw,
-                  e_mac, e_spad, e_acc, e_dram, lat, en):
-    n = P.shape[1]
-    for i in range(n):
-        Poc, Pic, Pkh, Pkw, Poh, Pow = P[0, i], P[1, i], P[2, i], P[3, i], P[4, i], P[5, i]
-        Foc = Poc // T[0, i]
-        Fic = Pic // T[1, i]
-        Fkh = Pkh // T[2, i]
-        Fkw = Pkw // T[3, i]
-        Foh = Poh // T[4, i]
-        Fow = Pow // T[5, i]
-        p_oc, p_ic, p_kh, p_kw, p_oh, p_ow = (pos[0, i], pos[1, i], pos[2, i],
-                                              pos[3, i], pos[4, i], pos[5, i])
-
-        rel_w = -1
-        if Foc > 1 and p_oc > rel_w:
-            rel_w = p_oc
-        if Fic > 1 and p_ic > rel_w:
-            rel_w = p_ic
-        if Fkh > 1 and p_kh > rel_w:
-            rel_w = p_kh
-        if Fkw > 1 and p_kw > rel_w:
-            rel_w = p_kw
-        mult_w = 1.0
-        if p_oh < rel_w:
-            mult_w *= Foh
-        if p_ow < rel_w:
-            mult_w *= Fow
-        w_bytes = float(Poc * Pic * Pkh * Pkw) * w_b * mult_w
-
-        rel_i = -1
-        if Fic > 1 and p_ic > rel_i:
-            rel_i = p_ic
-        if Foh > 1 and p_oh > rel_i:
-            rel_i = p_oh
-        if Fow > 1 and p_ow > rel_i:
-            rel_i = p_ow
-        ih = (Poh - 1) * stride + Pkh
-        iw = (Pow - 1) * stride + Pkw
-        mult_i = float(Foc) if p_oc < rel_i else 1.0
-        i_bytes = float(Pic * ih * iw) * act_b * mult_i
-
-        red = float(Fic * Fkh * Fkw)
-        inner_out = -1
-        if Foc > 1 and p_oc > inner_out:
-            inner_out = p_oc
-        if Foh > 1 and p_oh > inner_out:
-            inner_out = p_oh
-        if Fow > 1 and p_ow > inner_out:
-            inner_out = p_ow
-        spill = ((Fic > 1 and inner_out > p_ic)
-                 or (Fkh > 1 and inner_out > p_kh)
-                 or (Fkw > 1 and inner_out > p_kw))
-        o_elems = float(Poc * Poh * Pow)
-        o_bytes = o_elems * 4.0 * red if spill else o_elems * out_b
-
-        dram = w_bytes + i_bytes + o_bytes
-        macs = float(Poc * Pic * Pkh * Pkw) * Poh * Pow
-        fills = float(Foc * Fic * Fkh) * Fkw * Foh * Fow
-        compute = macs / float(s_oc[i] * s_ic[i]) + W * fills
-        mem = dram / bw
-        lat[i] = compute if compute > mem else mem
-        spad = w_bytes + i_bytes + macs * (act_b + w_b) / W
-        acc = macs * 4.0 / W + o_bytes
-        en[i] = macs * e_mac + spad * e_spad + acc * e_acc + dram * e_dram
-
-
-def conv_eval(P, s_oc, s_ic, T, pos, stride,
-              act_b, w_b, out_b, W, bw, e_mac, e_spad, e_acc, e_dram):
-    n = P.shape[1]
-    lat = np.empty(n, dtype=np.float64)
-    en = np.empty(n, dtype=np.float64)
-    fn = _conv_eval_nb if backend() == "numba" else _conv_eval_np
-    fn(P, s_oc, s_ic, T, pos, np.int64(stride),
-       float(act_b), float(w_b), float(out_b), float(W), float(bw),
-       float(e_mac), float(e_spad), float(e_acc), float(e_dram), lat, en)
-    return lat, en
+    en = macs * e_mac + spad * e_spad + acc * e_acc + dram * e_dram
+    return lat, en, dram, compute

@@ -19,8 +19,8 @@ from .fusion import PAIR_NAMES, fusion_sweep
 from .hwmodel import (InfeasibleConfigError, _wide_flags, accel_from_json,
                       accel_preset, memory_split_sweep, model_costs,
                       model_nonideal_intensity, nonideal_intensity)
-from .workload import (ConfigError, category_of, flops, intensity, model_from_json,
-                       model_ops, model_preset, mops)
+from .workload import (ConfigError, Mode, category_of, flops, intensity,
+                       model_from_json, model_ops, model_preset, mops)
 
 SCHEMA_VERSION = "1"
 
@@ -45,7 +45,7 @@ def _load_accel(name: str):
 
 def cmd_analyze(args):
     cfg = _load_model(args.model, args.seqlen)
-    cnn = cfg.name == "resnet50"
+    cnn = cfg.mode is Mode.Cnn
     cols = ["name", "op_class", "category", "flops", "mops", "arithmetic_intensity"]
     rows = []
     for op in model_ops(cfg):

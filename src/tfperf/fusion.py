@@ -17,15 +17,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .hwmodel import AcceleratorConfig, greedy_tiles, op_latency
+from .hwmodel import _STANDALONE_PASSES, AcceleratorConfig, greedy_tiles, op_latency
 from .mapspace import Mapping, matmul_nest, _divisors
 from .workload import Matmul, ModelConfig, OperatorSpec, encoder_ops, model_preset
 
 PAIR_NAMES = ("qk-softmax", "wout-ln", "ffn2-ln")
-
-_STANDALONE_PASSES = 3
 
 
 class FusionConsumer(Enum):
@@ -86,8 +82,7 @@ class FusedConstraints:
         inner = self.pair.reduction_dim
         return Mapping(nest=nest, spatial=(1, 1, 1),
                        tiles=(self.tile_m, self.tile_k, self.tile_n),
-                       dram_perm=(block, "k", inner),
-                       local_perm=("m", "k", "n"))
+                       dram_perm=(block, "k", inner))
 
 
 def bert_pair(name: str, seq_len: int = 512,
@@ -137,9 +132,6 @@ def fused_constraints(pair: FusionPair, accel: AcceleratorConfig) -> FusedConstr
             f"scratchpad half ({half} B)")
     t_k = _largest_divisor_leq(k.K, cap)
     return FusedConstraints(pair, t_m, t_k, t_n)
-
-
-_CONSUMER_FLOPS = {FusionConsumer.Softmax: 5, FusionConsumer.LayerNorm: 8}
 
 
 def _consumer_block_cycles(elements: int, accel: AcceleratorConfig,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .workload import (
     Elementwise,
     Matmul,
     MatvecSeries,
+    Mode,
     ModelConfig,
     OperatorClass,
     OperatorSpec,
@@ -41,10 +41,6 @@ from .workload import (
     json_int,
     model_ops,
 )
-
-
-class Dataflow(Enum):
-    WeightStationary = "weight_stationary"
 
 
 class InfeasibleConfigError(ValueError):
@@ -75,7 +71,6 @@ class AcceleratorConfig:
     dram_bw: float = 3.0
     sfu_vector_latency: float = 1.0
     energy: EnergyTable = field(default_factory=EnergyTable)
-    dataflow: Dataflow = Dataflow.WeightStationary
     idealized_matvec: bool = False
 
     def check(self) -> "AcceleratorConfig":
@@ -420,7 +415,7 @@ def latency_breakdown(cfg: ModelConfig, accel: AcceleratorConfig) -> dict:
     """Cycles per workload category plus 'total'."""
     by_cat: dict[str, float] = {}
     total = 0.0
-    cnn = cfg.name == "resnet50"
+    cnn = cfg.mode is Mode.Cnn
     for op, rep in model_costs(cfg, accel):
         cat = category_of(op, cnn=cnn)
         by_cat[cat] = by_cat.get(cat, 0.0) + rep.latency

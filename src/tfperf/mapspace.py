@@ -16,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,7 +94,6 @@ class Mapping:
     spatial: tuple[int, ...]    # factor per dim; 1 on non-spatial dims
     tiles: tuple[int, ...]      # local tile size per dim (multiple of spatial)
     dram_perm: tuple[str, ...]  # outermost .. innermost
-    local_perm: tuple[str, ...]
 
     def padded_extents(self) -> tuple[int, ...]:
         return tuple(_pad(e, s) for e, s in zip(self.nest.extents, self.spatial))
@@ -109,7 +107,7 @@ class Mapping:
         return tuple(where[d] for d in self.nest.names)
 
     def encode(self) -> tuple:
-        return (self.spatial, self.tiles, self.dram_perm, self.local_perm)
+        return (self.spatial, self.tiles, self.dram_perm)
 
 
 def _pad(x: int, w: int) -> int:
@@ -131,26 +129,31 @@ def _tile_choices(extent: int, s: int) -> tuple[int, ...]:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _footprints(m: Mapping, act_b: int = 1, w_b: int = 1, out_b: int = 1):
-    """(scratchpad-operand-1, scratchpad-operand-2, accumulator) tile bytes."""
-    t = dict(zip(m.nest.names, m.tiles))
-    if m.nest.is_conv:
-        st = m.nest.stride
-        ih = (t["oh"] - 1) * st + t["kh"]
-        iw = (t["ow"] - 1) * st + t["kw"]
-        return (t["oc"] * t["ic"] * t["kh"] * t["kw"] * w_b,
-                t["ic"] * ih * iw * act_b,
-                t["oc"] * t["oh"] * t["ow"] * out_b)
-    return (t["m"] * t["k"] * act_b, t["k"] * t["n"] * w_b,
-            t["m"] * t["n"] * out_b)
+def _footprints(nest: LoopNest, t, precisions: tuple[int, int, int]):
+    """(scratchpad-operand-1, scratchpad-operand-2, accumulator) tile bytes.
+
+    t holds one tile size per dim in nest order: ints for one mapping, or
+    arrays for a batch."""
+    act_b, w_b, out_b = precisions
+    if nest.is_conv:
+        st = nest.stride
+        ih = (t[4] - 1) * st + t[2]
+        iw = (t[5] - 1) * st + t[3]
+        return (t[0] * t[1] * t[2] * t[3] * w_b,
+                t[1] * ih * iw * act_b,
+                t[0] * t[4] * t[5] * out_b)
+    return t[0] * t[1] * act_b, t[1] * t[2] * w_b, t[0] * t[2] * out_b
 
 
 def validate(m: Mapping, nest: LoopNest, accel: AcceleratorConfig,
              precisions: tuple[int, int, int] = (1, 1, 1)) -> list[str]:
     """Empty list when valid; otherwise one message per violated constraint."""
-    out = []
     if m.nest != nest:
-        out.append("mapping built for a different nest")
+        return ["mapping built for a different nest"]
+    ndim = len(nest.names)
+    out = [f"{label} has {len(v)} entries for {ndim} dims"
+           for label, v in (("spatial", m.spatial), ("tiles", m.tiles)) if len(v) != ndim]
+    if out:
         return out
     W = accel.pe_width
     sdims = nest.spatial_dims
@@ -160,21 +163,16 @@ def validate(m: Mapping, nest: LoopNest, accel: AcceleratorConfig,
                 out.append(f"spatial factor {s} on {name} not a divisor of W={W}")
         elif s != 1:
             out.append(f"spatial factor on non-spatial dim {name}")
+        if s < 1:
+            continue  # no padded extent to check the tile against
         p = _pad(ext, s)
-        if t % max(s, 1) != 0:
+        if t % s != 0:
             out.append(f"tile {t} on {name} not a multiple of spatial {s}")
         if t < 1 or p % t != 0:
             out.append(f"tile {t} on {name} does not divide padded extent {p}")
-        covered = p  # dram_factor * tile == padded extent by construction
-        if covered < ext:
-            out.append(f"under-covered dim {name}: {covered} < {ext}")
-        if covered >= 2 * p:
-            out.append(f"over-padded dim {name}")
-    for perm, label in ((m.dram_perm, "dram"), (m.local_perm, "local")):
-        if sorted(perm) != sorted(nest.names):
-            out.append(f"{label} permutation is not a bijection over dims")
-    act_b, w_b, out_b = precisions
-    f1, f2, facc = _footprints(m, act_b, w_b, out_b)
+    if sorted(m.dram_perm) != sorted(nest.names):
+        out.append("dram permutation is not a bijection over dims")
+    f1, f2, facc = _footprints(nest, m.tiles, precisions)
     half = accel.scratchpad_bytes // 2
     if f1 > half:
         out.append(f"operand-1 tile {f1} B exceeds scratchpad half {half} B")
@@ -264,26 +262,14 @@ def _sample_batch(nest: LoopNest, accel: AcceleratorConfig, n: int,
 
 def _valid_mask(batch: _Batch, accel: AcceleratorConfig,
                 precisions: tuple[int, int, int]) -> np.ndarray:
-    act_b, w_b, out_b = precisions
-    t = batch.tiles
+    f1, f2, facc = _footprints(batch.nest, batch.tiles, precisions)
     half = accel.scratchpad_bytes // 2
-    acc_half = accel.accumulator_bytes // 2
-    if batch.nest.is_conv:
-        st = batch.nest.stride
-        ih = (t[4] - 1) * st + t[2]
-        iw = (t[5] - 1) * st + t[3]
-        f1 = t[0] * t[1] * t[2] * t[3] * w_b
-        f2 = t[1] * ih * iw * act_b
-        facc = t[0] * t[4] * t[5] * out_b
-    else:
-        f1 = t[0] * t[1] * act_b
-        f2 = t[1] * t[2] * w_b
-        facc = t[0] * t[2] * out_b
-    return (f1 <= half) & (f2 <= half) & (facc <= acc_half)
+    return (f1 <= half) & (f2 <= half) & (facc <= accel.accumulator_bytes // 2)
 
 
 def _eval_batch(batch: _Batch, accel: AcceleratorConfig,
                 precisions: tuple[int, int, int]):
+    """Kernel arrays (lat, en, dram, compute) over every mapping of the batch."""
     act_b, w_b, out_b = precisions
     e = accel.energy
     P = batch.padded()
@@ -301,19 +287,25 @@ def _eval_batch(batch: _Batch, accel: AcceleratorConfig,
         e.mac_energy, e.scratchpad_access, e.accumulator_access, e.dram_access)
 
 
-def _mapping_from_batch(batch: _Batch, i: int, rng: np.random.Generator | None = None,
-                        local_perm: tuple[str, ...] | None = None) -> Mapping:
-    names = batch.nest.names
-    perms = list(itertools.permutations(names))
-    if local_perm is None:
-        local_perm = perms[int(rng.integers(0, len(perms)))] if rng is not None else names
+@lru_cache(maxsize=None)
+def _dram_perms(names: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """DRAM loop orders in perm_idx order (the row order of _perm_table)."""
+    return tuple(itertools.permutations(names))
+
+
+def _mapping_from_batch(batch: _Batch, i: int) -> Mapping:
     return Mapping(
         nest=batch.nest,
         spatial=tuple(int(x) for x in batch.spatial[:, i]),
         tiles=tuple(int(x) for x in batch.tiles[:, i]),
-        dram_perm=perms[int(batch.perm_idx[i])],
-        local_perm=tuple(local_perm),
+        dram_perm=_dram_perms(batch.nest.names)[int(batch.perm_idx[i])],
     )
+
+
+def _report(lat, en, dram, compute, accel: AcceleratorConfig) -> CostReport:
+    """CostReport of one kernel row, compute-bound by hwmodel.op_latency's rule."""
+    return CostReport(latency=float(lat), energy=float(en), traffic={"dram": float(dram)},
+                      compute_bound=bool(compute >= dram / accel.dram_bw))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +324,7 @@ def random_mapping(nest: LoopNest, accel: AcceleratorConfig, seed: int,
         ok = _valid_mask(batch, accel, precisions)
         idx = np.flatnonzero(ok)
         if len(idx):
-            return _mapping_from_batch(batch, int(idx[0]), rng=rng)
+            return _mapping_from_batch(batch, int(idx[0]))
     raise InfeasibleConfigError(
         f"no valid mapping found for {nest.names} under the given capacities")
 
@@ -346,58 +338,8 @@ def evaluate(m: Mapping, nest: LoopNest, accel: AcceleratorConfig,
     batch = _Batch(nest, 1)
     batch.spatial[:, 0] = m.spatial
     batch.tiles[:, 0] = m.tiles
-    perms = list(itertools.permutations(nest.names))
-    batch.perm_idx[0] = perms.index(m.dram_perm)
-    lat, en = _eval_batch(batch, accel, precisions)
-    # recover traffic split for the report via a single numpy evaluation
-    dram = _dram_traffic(m, precisions)
-    return CostReport(latency=float(lat[0]), energy=float(en[0]),
-                      traffic={"dram": dram}, compute_bound=_compute_bound(m, accel, dram))
-
-
-def _dram_traffic(m: Mapping, precisions: tuple[int, int, int]) -> float:
-    act_b, w_b, out_b = precisions
-    P = dict(zip(m.nest.names, m.padded_extents()))
-    F = dict(zip(m.nest.names, m.dram_factors()))
-    pos = dict(zip(m.nest.names, m.positions()))
-
-    def rel_pos(dims):
-        live = [pos[d] for d in dims if F[d] > 1]
-        return max(live) if live else -1
-
-    if m.nest.is_conv:
-        rw = rel_pos(("oc", "ic", "kh", "kw"))
-        mult_w = (F["oh"] if pos["oh"] < rw else 1) * (F["ow"] if pos["ow"] < rw else 1)
-        w_bytes = P["oc"] * P["ic"] * P["kh"] * P["kw"] * w_b * mult_w
-        ri = rel_pos(("ic", "oh", "ow"))
-        st = m.nest.stride
-        ih = (P["oh"] - 1) * st + P["kh"]
-        iw = (P["ow"] - 1) * st + P["kw"]
-        i_bytes = P["ic"] * ih * iw * act_b * (F["oc"] if pos["oc"] < ri else 1)
-        red = F["ic"] * F["kh"] * F["kw"]
-        inner_out = rel_pos(("oc", "oh", "ow"))
-        spill = any(F[r] > 1 and inner_out > pos[r] for r in ("ic", "kh", "kw"))
-        o_elems = P["oc"] * P["oh"] * P["ow"]
-        o_bytes = o_elems * 4 * red if spill else o_elems * out_b
-        return float(w_bytes + i_bytes + o_bytes)
-    r1 = rel_pos(("m", "k"))
-    in1 = P["m"] * P["k"] * act_b * (F["n"] if pos["n"] < r1 else 1)
-    r2 = rel_pos(("k", "n"))
-    in2 = P["k"] * P["n"] * w_b * (F["m"] if pos["m"] < r2 else 1)
-    spill = F["k"] > 1 and any(F[d] > 1 and pos[d] > pos["k"] for d in ("m", "n"))
-    out = P["m"] * P["n"] * (4 * F["k"] if spill else out_b)
-    return float(in1 + in2 + out)
-
-
-def _compute_bound(m: Mapping, accel: AcceleratorConfig, dram: float) -> bool:
-    P = m.padded_extents()
-    macs = float(np.prod(np.array(P, dtype=np.float64)))
-    if m.nest.is_conv:
-        sp = m.spatial[0] * m.spatial[1]
-    else:
-        sp = m.spatial[0] * m.spatial[2]
-    fills = accel.pe_width * float(np.prod(np.array(m.dram_factors(), dtype=np.float64)))
-    return macs / sp + fills >= dram / accel.dram_bw
+    batch.perm_idx[0] = _dram_perms(nest.names).index(m.dram_perm)
+    return _report(*(col[0] for col in _eval_batch(batch, accel, precisions)), accel)
 
 
 @dataclass(frozen=True)
@@ -436,7 +378,7 @@ def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
         if not len(keep):
             continue
         batch = batch.take(keep)  # drops the rest of the draw before the kernels run
-        lat, en = _eval_batch(batch, accel, precisions)
+        lat, en = _eval_batch(batch, accel, precisions)[:2]
         lats[got:got + len(keep)] = lat
         ens[got:got + len(keep)] = en
         got += len(keep)
@@ -497,10 +439,10 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig,
     spatial_sets = [(_divisors(W) if name in sdims else (1,)) for name, _ in nest.dims]
 
     best_key = None
-    best_idx = None
-    best_batch = None
-    best_cost = None
+    best_mapping = None
+    best_row = None
     nperm = math.factorial(ndim)
+    perms = _dram_perms(nest.names)
     for svec in itertools.product(*spatial_sets):
         tile_sets = [_tile_choices(ext, s) for (_, ext), s in zip(nest.dims, svec)]
         tiles = np.array(list(itertools.product(*tile_sets)), dtype=np.int64)
@@ -514,29 +456,24 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig,
         ok = _valid_mask(batch, accel, precisions)
         if not ok.any():
             continue
-        lat, en = _eval_batch(batch, accel, precisions)
-        edp = lat * en
+        rows = _eval_batch(batch, accel, precisions)
+        edp = rows[0] * rows[1]
         edp[~ok] = np.inf
         i = int(np.argmin(edp))
-        # lexicographic tie-break over equal-EDP candidates
+        # lexicographic tie-break over equal-EDP candidates' encodings, whose
+        # spatial entry is the batch's own
         ties = np.flatnonzero(edp == edp[i])
-        keys = sorted((_mapping_from_batch(batch, int(j), local_perm=nest.names).encode(), int(j))
-                      for j in ties)
-        i = keys[0][1]
-        key = (float(edp[i]), keys[0][0])
+        *_, i = min(zip(batch.tiles[:, ties].T.tolist(),
+                        [perms[p] for p in batch.perm_idx[ties].tolist()], ties.tolist()))
+        m = _mapping_from_batch(batch, i)
+        key = (float(edp[i]), m.encode())
         if best_key is None or key < best_key:
             best_key = key
-            best_idx = i
-            best_batch = batch
-            best_cost = (float(lat[i]), float(en[i]))
-    if best_batch is None:
+            best_mapping = m
+            best_row = tuple(col[i] for col in rows)
+    if best_mapping is None:
         raise InfeasibleConfigError("no valid mapping in the exhaustive space")
-    m = _mapping_from_batch(best_batch, best_idx, local_perm=nest.names)
-    dram = _dram_traffic(m, precisions)
-    report = CostReport(latency=best_cost[0], energy=best_cost[1],
-                        traffic={"dram": dram},
-                        compute_bound=_compute_bound(m, accel, dram))
-    return m, report
+    return best_mapping, _report(*best_row, accel)
 
 
 def matched_mac_dims(conv: OperatorSpec, l: int, ffn_ratio: float = 4.0) -> tuple[int, int]:

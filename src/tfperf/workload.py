@@ -22,6 +22,7 @@ from typing import Sequence
 class Mode(Enum):
     Encoder = "encoder"
     Decoder = "decoder"
+    Cnn = "cnn"  # the fixed ResNet-50 graph; model dims do not apply
 
 
 class OperatorClass(Enum):
@@ -430,25 +431,32 @@ def category_of(op: OperatorSpec, cnn: bool = False) -> str:
     return _CLASS_CATEGORY[op.op_class]
 
 
+def _aggregate(rows: Sequence[ProfileRow], category) -> WorkloadProfile:
+    """Profile of per-op rows with per-category sums; a category (like an op)
+    that moves no bytes gets infinite intensity."""
+    agg: dict[str, list[int]] = {}
+    for r in rows:
+        bucket = agg.setdefault(category(r.op), [0, 0])
+        bucket[0] += r.flops
+        bucket[1] += r.mops
+    tot_f = sum(r.flops for r in rows)
+    tot_m = sum(r.mops for r in rows)
+    cats = {
+        name: CategoryRow(f, 100.0 * f / tot_f, m, 100.0 * m / tot_m,
+                          intensity(f, m) if m else math.inf)
+        for name, (f, m) in agg.items()
+    }
+    return WorkloadProfile(tuple(rows), cats, (tot_f, tot_m, intensity(tot_f, tot_m)))
+
+
 def profile(ops: Sequence[OperatorSpec], cnn: bool = False) -> WorkloadProfile:
     if not ops:
         raise EmptyProfileError("cannot profile an empty operator list")
     rows = []
-    agg: dict[str, list[int]] = {}
     for op in ops:
         f, m = flops(op), mops(op)
         rows.append(ProfileRow(op, f, m, intensity(f, m) if m else math.inf))
-        cat = category_of(op, cnn=cnn)
-        bucket = agg.setdefault(cat, [0, 0])
-        bucket[0] += f
-        bucket[1] += m
-    tot_f = sum(r.flops for r in rows)
-    tot_m = sum(r.mops for r in rows)
-    cats = {
-        name: CategoryRow(f, 100.0 * f / tot_f, m, 100.0 * m / tot_m, intensity(f, m))
-        for name, (f, m) in agg.items()
-    }
-    return WorkloadProfile(tuple(rows), cats, (tot_f, tot_m, intensity(tot_f, tot_m)))
+    return _aggregate(rows, lambda op: category_of(op, cnn=cnn))
 
 
 def fold_cnn_fusion(p: WorkloadProfile) -> WorkloadProfile:
@@ -466,19 +474,7 @@ def fold_cnn_fusion(p: WorkloadProfile) -> WorkloadProfile:
             rows.append(ProfileRow(r.op, r.flops, 0, math.inf))
         else:
             rows.append(r)
-    agg: dict[str, list[int]] = {}
-    for r in rows:
-        bucket = agg.setdefault(_cnn_category(r.op), [0, 0])
-        bucket[0] += r.flops
-        bucket[1] += r.mops
-    tot_f = sum(r.flops for r in rows)
-    tot_m = sum(r.mops for r in rows)
-    cats = {
-        name: CategoryRow(f, 100.0 * f / tot_f, m, 100.0 * m / tot_m,
-                          intensity(f, m) if m else math.inf)
-        for name, (f, m) in agg.items()
-    }
-    return WorkloadProfile(tuple(rows), cats, (tot_f, tot_m, intensity(tot_f, tot_m)))
+    return _aggregate(rows, _cnn_category)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +485,7 @@ _PRESETS: dict[str, dict] = {
     "bert-base": dict(layers=12, d=768, heads=12, d_ffn=3072, mode="encoder"),
     "bert-large": dict(layers=24, d=1024, heads=16, d_ffn=4096, mode="encoder"),
     "gpt2": dict(layers=12, d=768, heads=12, d_ffn=3072, mode="decoder"),
-    "resnet50": dict(layers=50, d=1, heads=1, d_ffn=1, mode="encoder", cnn=True),
+    "resnet50": dict(layers=50, d=1, heads=1, d_ffn=1, mode="cnn"),
 }
 
 
@@ -543,11 +539,14 @@ def model_from_json(doc: str | dict, seq_len: int | None = None) -> ModelConfig:
         )
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad model config: {e}") from e
+    if cfg.mode is Mode.Cnn:
+        raise ConfigError("mode 'cnn' is only for the resnet50 preset, "
+                          "whose fixed graph ignores every model dim")
     return cfg.check()
 
 
 def model_ops(cfg: ModelConfig) -> list[OperatorSpec]:
-    if cfg.name == "resnet50":
+    if cfg.mode is Mode.Cnn:
         return resnet50_ops(cfg.activation_precision, cfg.weight_precision)
     if cfg.mode is Mode.Encoder:
         return encoder_ops(cfg)

@@ -374,7 +374,7 @@ def test_criterion_10_determinism_and_oracles():
     # capacity-boundary oracle: exact fit passes, one step smaller fails
     nest = matmul_nest(64, 64, 64)
     m = Mapping(nest=nest, spatial=(1, 1, 1), tiles=(64, 64, 64),
-                dram_perm=("m", "k", "n"), local_perm=("m", "k", "n"))
+                dram_perm=("m", "k", "n"))
     fit = AcceleratorConfig(scratchpad_bytes=8192, accumulator_bytes=8192)
     assert validate(m, nest, fit) == []
     assert any("scratchpad" in v for v in

@@ -8,6 +8,7 @@ import pytest
 from tfperf import mapspace
 from tfperf.cli import build_parser, main
 from tfperf.hwmodel import accel_preset
+from tfperf.workload import resnet50_ops
 
 
 def run(capsys, *argv):
@@ -240,13 +241,36 @@ _MODEL = '"layers": 2, "d": 128, "heads": 4, "d_ffn": 256'
 @pytest.mark.parametrize("doc", ['{"layers": true, "d": 128, "heads": 4, "d_ffn": 256}',
                                  '{"layers": 1.7, "d": 128, "heads": 4, "d_ffn": 256}',
                                  "{" + _MODEL + ', "weight_bytes": 2.5}',
-                                 "{" + _MODEL + ', "model_dim": 768}', "[2, 128]"])
+                                 "{" + _MODEL + ', "model_dim": 768}', "[2, 128]",
+                                 "{" + _MODEL + ', "mode": "cnn"}'])
 def test_malformed_model_exits_2(tmp_path, capsys, doc):
     model = tmp_path / "model.json"
     model.write_text(doc)
     code, _, err = run(capsys, "analyze", "--model", str(model), "--seqlen", "64")
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_model_named_resnet50_runs_its_own_dims(tmp_path, capsys):
+    model = tmp_path / "r.json"
+    model.write_text('{"name": "resnet50", "layers": 2, "d": 64, "heads": 2, "d_ffn": 128}')
+    code, out, _ = run(capsys, "analyze", "--model", str(model))
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 2 * 12
+    wq = rows[0]
+    assert (wq["name"], wq["category"]) == ("L0.wq", "MHA (projections)")
+    assert int(wq["flops"]) == 2 * 64 * 64 * 512
+
+
+def test_resnet50_preset_rows(capsys):
+    code, out, _ = run(capsys, "analyze", "--model", "resnet50")
+    assert code == 0
+    rows = rows_of(out)
+    assert [r["name"] for r in rows] == [op.name for op in resnet50_ops()]
+    cats = {r["name"]: r["category"] for r in rows}
+    assert (cats["conv1"], cats["conv1.bn"], cats["conv1.relu"], cats["maxpool"]) == (
+        "Convolution", "BatchNorm", "ReLU", "Other")
 
 
 # ---------------------------------------------------------------------------

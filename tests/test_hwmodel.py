@@ -13,6 +13,7 @@ from tfperf.workload import (
     OperatorSpec,
     encoder_ops,
     flops,
+    model_from_json,
     model_preset,
 )
 from tfperf.hwmodel import (
@@ -24,6 +25,7 @@ from tfperf.hwmodel import (
     accel_from_json,
     accel_preset,
     greedy_tiles,
+    latency_breakdown,
     matmul_dims,
     memory_split_sweep,
     model_costs,
@@ -257,6 +259,16 @@ def test_memory_split_sweep(bert512):
     assert margin >= 0.2
     with pytest.raises(InfeasibleConfigError):
         memory_split_sweep(bert512, 320, splits=[(100, 100)])
+
+
+def test_latency_breakdown_categories_follow_mode(accel):
+    cnn = latency_breakdown(model_preset("resnet50", 512), accel)
+    assert list(cnn) == ["Convolution", "BatchNorm", "ReLU", "Other", "total"]
+    named = model_from_json({"name": "resnet50", "layers": 1, "d": 64, "heads": 2,
+                             "d_ffn": 128, "seq_len": 64})
+    enc = latency_breakdown(named, accel)
+    assert "Convolution" not in enc and "MHA (projections)" in enc
+    assert enc["total"] == pytest.approx(sum(v for k, v in enc.items() if k != "total"))
 
 
 def test_nonlinear_latency_share_resnet(accel):

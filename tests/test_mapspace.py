@@ -1,4 +1,4 @@
-"""Mapspace sampling, validation, statistics, exhaustive search, backends."""
+"""Mapspace sampling, validation, statistics, exhaustive search, kernel reports."""
 import hashlib
 import json
 import math
@@ -37,9 +37,8 @@ SMALL = matmul_nest(8, 8, 8)
 
 
 def _mapping(nest=SMALL, spatial=(1, 1, 1), tiles=(8, 8, 8),
-             dram_perm=("m", "k", "n"), local_perm=("m", "k", "n")) -> Mapping:
-    return Mapping(nest=nest, spatial=spatial, tiles=tiles,
-                   dram_perm=dram_perm, local_perm=local_perm)
+             dram_perm=("m", "k", "n")) -> Mapping:
+    return Mapping(nest=nest, spatial=spatial, tiles=tiles, dram_perm=dram_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ def test_mapping_helpers():
     assert m.padded_extents() == (8, 8, 8)
     assert m.dram_factors() == (2, 1, 1)
     assert m.positions() == (1, 0, 2)  # (m, k, n) positions in dram_perm
-    assert m.encode() == ((2, 1, 8), (4, 8, 8), ("k", "m", "n"), ("m", "k", "n"))
+    assert m.encode() == ((2, 1, 8), (4, 8, 8), ("k", "m", "n"))
 
 
 def test_named_nests_registry(accel):
@@ -107,9 +106,26 @@ def test_validate_each_violation(accel):
         "tile not multiple of spatial": _mapping(spatial=(8, 1, 1), tiles=(4, 8, 8)),
         "tile does not divide padded": _mapping(tiles=(3, 8, 8)),
         "perm not bijection": _mapping(dram_perm=("m", "m", "n")),
+        "zero spatial on m": _mapping(spatial=(0, 1, 1)),
+        "zero spatial on k": _mapping(spatial=(1, 0, 1)),
+        "negative spatial on n": _mapping(spatial=(1, 1, -2)),
+        "spatial too short": _mapping(spatial=(1, 1)),
+        "spatial too long": _mapping(spatial=(1, 1, 1, 1)),
+        "tiles too short": _mapping(tiles=(8, 8)),
+        "zero tile": _mapping(tiles=(8, 0, 8)),
     }
     for label, m in cases.items():
         assert validate(m, SMALL, accel), label
+        with pytest.raises(InfeasibleConfigError):
+            evaluate(m, SMALL, accel)
+
+
+def test_validate_stops_at_length_mismatch(accel):
+    assert validate(_mapping(spatial=(1, 1), tiles=(8, 8)), SMALL, accel) == [
+        "spatial has 2 entries for 3 dims", "tiles has 2 entries for 3 dims"]
+    # a zero factor is reported once, with no padding check on its dim
+    assert validate(_mapping(spatial=(0, 1, 1)), SMALL, accel) == [
+        "spatial factor 0 on m not a divisor of W=16"]
 
 
 def test_validate_capacity_violations():
@@ -122,6 +138,14 @@ def test_validate_capacity_violations():
     edge = AcceleratorConfig(scratchpad_bytes=128, accumulator_bytes=1024)
     assert validate(_mapping(), SMALL, edge) == []
     assert validate(_mapping(), SMALL, edge, precisions=(2, 1, 1)) != []
+    # conv: weights (operand 1, 288 B) scale with w_b, the halo'd input
+    # (operand 2, 144 B) with act_b
+    conv = conv_nest(Conv(3, 4, 8, 4, 4))
+    m = Mapping(nest=conv, spatial=(1,) * 6, tiles=conv.extents, dram_perm=conv.names)
+    roomy = AcceleratorConfig(scratchpad_bytes=600, accumulator_bytes=1024)
+    assert validate(m, conv, roomy, precisions=(2, 1, 1)) == []
+    assert [s[:9] for s in validate(m, conv, roomy, precisions=(3, 1, 1))] == ["operand-2"]
+    assert [s[:9] for s in validate(m, conv, roomy, precisions=(1, 2, 1))] == ["operand-1"]
 
 
 def test_evaluate_rejects_invalid(accel):
@@ -326,45 +350,41 @@ def test_exhaustive_guard(accel):
 
 
 # ---------------------------------------------------------------------------
-# Kernel backends
+# Reports built from the kernel row
 # ---------------------------------------------------------------------------
 
-def test_backend_selection(monkeypatch):
-    from tfperf import _kernels
-    monkeypatch.setenv("TFPERF_BACKEND", "numpy")
-    assert _kernels.backend() == "numpy"
-    default = "numba" if _kernels.HAS_NUMBA else "numpy"
-    monkeypatch.delenv("TFPERF_BACKEND", raising=False)
-    assert _kernels.backend() == default
-    monkeypatch.setenv("TFPERF_BACKEND", "bogus")
-    assert _kernels.backend() == default  # unknown values fall back
+# exhaustive_best and random_mapping + evaluate results, captured from the
+# code that recomputed each report's DRAM bytes and compute-bound flag in a
+# separate Python copy of the traffic rules. Floats are stored as float.hex().
+EVALUATE_GOLDENS = json.loads(
+    (Path(__file__).parent / "data" / "evaluate_goldens.json").read_text())
 
 
-def test_backends_bitwise_equal(accel, monkeypatch):
-    from tfperf import _kernels
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    nest = NAMED_NESTS["bert.mha"]
-    monkeypatch.setenv("TFPERF_BACKEND", "numpy")
-    lp, ep = sample_costs(nest, accel, 400, seed=9)
-    monkeypatch.setenv("TFPERF_BACKEND", "numba")
-    ln, en = sample_costs(nest, accel, 400, seed=9)
-    assert np.array_equal(lp, ln)
-    assert np.array_equal(ep, en)
+def _golden_nest(spec):
+    if "matmul" in spec:
+        return matmul_nest(*spec["matmul"])
+    return conv_nest(Conv(*spec["conv"], stride=spec["stride"]))
 
 
-def test_backends_bitwise_equal_conv(monkeypatch):
-    from tfperf import _kernels
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    accel = accel_preset("gemmini-baseline")
-    nest = NAMED_NESTS["resnet.c3"]
-    monkeypatch.setenv("TFPERF_BACKEND", "numpy")
-    lp, ep = sample_costs(nest, accel, 200, seed=2)
-    monkeypatch.setenv("TFPERF_BACKEND", "numba")
-    ln, en = sample_costs(nest, accel, 200, seed=2)
-    assert np.array_equal(lp, ln)
-    assert np.array_equal(ep, en)
+def _assert_matches_golden(m, rep, want):
+    assert m.spatial == tuple(want["spatial"])
+    assert m.tiles == tuple(want["tiles"])
+    assert m.dram_perm == tuple(want["dram_perm"])
+    assert rep.latency.hex() == want["latency"]
+    assert rep.energy.hex() == want["energy"]
+    assert rep.traffic == {"dram": float.fromhex(want["dram"])}
+    assert rep.compute_bound is want["compute_bound"]
+
+
+@pytest.mark.parametrize("case", EVALUATE_GOLDENS["cases"],
+                         ids=lambda c: f"{c['nest']}-{c['accel']}")
+def test_exhaustive_and_evaluate_match_goldens(case):
+    accel = AcceleratorConfig(**EVALUATE_GOLDENS["accels"][case["accel"]]).check()
+    nest = _golden_nest(EVALUATE_GOLDENS["nests"][case["nest"]])
+    _assert_matches_golden(*exhaustive_best(nest, accel), case["exhaustive"])
+    for want in case["random"]:
+        m = random_mapping(nest, accel, want["seed"])
+        _assert_matches_golden(m, evaluate(m, nest, accel), want)
 
 
 # ---------------------------------------------------------------------------

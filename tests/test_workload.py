@@ -283,6 +283,27 @@ def test_profile_empty_raises():
         profile([])
 
 
+def test_zero_mop_category_has_infinite_intensity():
+    # like a per-op row, a category that moves no bytes gets inf intensity
+    mm = OperatorSpec("mm", OperatorClass.FfnProjection, Matmul(4, 4, 4))
+    empty = OperatorSpec("empty", OperatorClass.Nonlinear, Elementwise(0, 5, 1))
+    p = profile([mm, empty])
+    assert p.per_op[1].intensity == math.inf
+    assert p.per_category[CATEGORY_OTHER].intensity == math.inf
+    assert p.per_category[CATEGORY_FFN].intensity == intensity(flops(mm), mops(mm))
+
+
+def test_resnet50_is_a_cnn_mode_preset():
+    cfg = model_preset("resnet50")
+    assert cfg.mode is Mode.Cnn
+    assert [op.name for op in model_ops(cfg)] == [op.name for op in resnet50_ops()]
+
+
+def test_model_from_json_rejects_cnn_mode():
+    with pytest.raises(ConfigError, match="resnet50"):
+        model_from_json({**_TINY, "mode": "cnn"})
+
+
 def test_category_of_modes(bert512):
     ops = encoder_ops(bert512)
     assert category_of(ops[0]) == CATEGORY_MHA_PROJ
