@@ -34,6 +34,7 @@ from .hwmodel import (  # noqa: F401
     CostReport,
     EnergyTable,
     InfeasibleConfigError,
+    OpCostTable,
     TilingPlan,
     accel_from_json,
     accel_preset,

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hwmodel import (AcceleratorConfig, CostReport, InfeasibleConfigError, _wide_flags,
+from .hwmodel import (AcceleratorConfig, InfeasibleConfigError, OpCostTable, _wide_flags,
                       greedy_tiles, op_latency)
 from .workload import (ConfigError, Conv, Matmul, Mode, ModelConfig, OperatorSpec,
                        check_keys, layer_ops_encoder)
@@ -153,41 +153,23 @@ def candidate_ops(c: Candidate, seq_len: int = 512) -> list[OperatorSpec]:
     return ops
 
 
-def _shape_key(op: OperatorSpec, wide_inputs: bool) -> tuple:
-    # op.kind is a frozen dataclass: its equality already compares the class
-    return (op.op_class, op.kind, op.repeat, op.in_precisions, op.out_precision,
-            op.pre_nonlinear, wide_inputs)
-
-
-class CostCache:
+class CostCache(OpCostTable):
     """Lookup tables over operator and encoder-layer costs (transparent).
 
-    `cost` memoizes one operator's report by shape and accelerator; `hits`
-    and `misses` count these operator lookups. `layers(accel, seq_len)` is
-    the table `candidate_edp` keeps per encoder layer: (d, h, d_FFN) maps to
-    the layer's (latency, energy) pairs in operator order.
+    The operator table is hwmodel's `OpCostTable`: `cost` memoizes one
+    operator's report by shape and accelerator, and `hits` and `misses`
+    count these operator lookups. `layers(accel, seq_len)` is the table
+    `candidate_edp` keeps per encoder layer: (d, h, d_FFN) maps to the
+    layer's (latency, energy) pairs in operator order.
     """
 
+    # bound on this class too, so that wrapping the search's operator
+    # lookups leaves every other OpCostTable alone
+    cost = OpCostTable.cost
+
     def __init__(self):
-        self._table: dict = {}
+        super().__init__()
         self._layers: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def cost(self, op: OperatorSpec, accel: AcceleratorConfig,
-             wide_inputs: bool = False) -> CostReport:
-        key = (_shape_key(op, wide_inputs), accel)
-        hit = self._table.get(key)
-        if hit is not None:
-            self.hits += 1
-            return hit
-        self.misses += 1
-        rep = op_latency(op, accel, wide_inputs=wide_inputs)
-        self._table[key] = rep
-        return rep
 
     def layers(self, accel: AcceleratorConfig, seq_len: int) -> dict:
         return self._layers.setdefault((accel, seq_len), {})

@@ -16,9 +16,9 @@ import sys
 from . import mapspace
 from .archsearch import CostCache, DEFAULT_SPACE, evolve, space_from_json
 from .fusion import PAIR_NAMES, fusion_sweep
-from .hwmodel import (InfeasibleConfigError, _wide_flags, accel_from_json,
-                      accel_preset, memory_split_sweep, model_costs,
-                      model_nonideal_intensity, nonideal_intensity)
+from .hwmodel import (InfeasibleConfigError, accel_from_json, accel_preset,
+                      costs_intensity, memory_split_sweep, model_costs,
+                      report_intensity)
 from .workload import (ConfigError, Mode, category_of, flops, intensity,
                        model_from_json, model_ops, model_preset, mops)
 
@@ -77,15 +77,15 @@ def cmd_latency(args):
 def cmd_nonideal_ai(args):
     cfg = _load_model(args.model, args.seqlen)
     accel = _load_accel(args.accel)
-    ops = model_ops(cfg)
+    costs = model_costs(cfg, accel)
     cols = ["name", "flops", "ideal_ai", "nonideal_ai"]
     rows = []
-    for op, wide in zip(ops, _wide_flags(ops)):
+    for op, rep in costs:
         f, m = flops(op), mops(op)
         rows.append({"name": op.name, "flops": f, "ideal_ai": intensity(f, m),
-                     "nonideal_ai": nonideal_intensity(op, accel, wide_inputs=wide)})
-    rows.append({"name": "model", "flops": sum(flops(o) for o in ops),
-                 "ideal_ai": "", "nonideal_ai": model_nonideal_intensity(cfg, accel)})
+                     "nonideal_ai": report_intensity(op, rep)})
+    rows.append({"name": "model", "flops": sum(flops(op) for op, _ in costs),
+                 "ideal_ai": "", "nonideal_ai": costs_intensity(costs)})
     return rows, cols, {}
 
 

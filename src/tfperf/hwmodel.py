@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -147,7 +148,7 @@ class TilingPlan:
 class CostReport:
     latency: float
     energy: float
-    traffic: dict
+    traffic: MappingProxyType  # read-only: a memoized report is shared
     compute_bound: bool
 
     @property
@@ -367,7 +368,7 @@ def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
         raise TypeError(f"unknown kind {type(op.kind).__name__}")
     r = op.repeat
     lat, comp, macs = lat * r, comp * r, macs * r
-    traffic = {k: v * r for k, v in traffic.items()}
+    traffic = MappingProxyType({k: v * r for k, v in traffic.items()})
     e = accel.energy
     energy = (macs * e.mac_energy
               + traffic["spad"] * e.scratchpad_access
@@ -377,15 +378,55 @@ def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
                       compute_bound=comp >= traffic["dram"] / accel.dram_bw)
 
 
+def _shape_key(op: OperatorSpec, wide_inputs: bool) -> tuple:
+    # everything op_latency reads but the name; op.kind is a frozen
+    # dataclass, so its equality already compares the class
+    return (op.op_class, op.kind, op.repeat, op.in_precisions, op.out_precision,
+            op.pre_nonlinear, wide_inputs)
+
+
+class OpCostTable:
+    """Operator reports memoized by shape and accelerator (transparent).
+
+    `cost` returns what `op_latency` returns for square tiles, computing it
+    once per distinct `_shape_key` and accelerator; `hits` and `misses`
+    count lookups, and `misses == len(table)`. A table lives as long as its
+    owner: `model_costs` makes one per call, and no table outlives a command.
+    """
+
+    def __init__(self):
+        self._table: dict = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def cost(self, op: OperatorSpec, accel: AcceleratorConfig,
+             wide_inputs: bool = False) -> CostReport:
+        key = (_shape_key(op, wide_inputs), accel)
+        hit = self._table.get(key)
+        if hit is not None:
+            self.hits += 1
+            return hit
+        self.misses += 1
+        rep = op_latency(op, accel, wide_inputs=wide_inputs)
+        self._table[key] = rep
+        return rep
+
+
+def report_intensity(op: OperatorSpec, rep: CostReport) -> float:
+    """FLOPs of `op` over the DRAM traffic of its report."""
+    if rep.traffic["dram"] <= 0:
+        raise ZeroDivisionError(f"no DRAM traffic for {op.name}")
+    return flops(op) / rep.traffic["dram"]
+
+
 def nonideal_intensity(op: OperatorSpec, accel: AcceleratorConfig,
                        plan: TilingPlan | None = None,
                        wide_inputs: bool = False) -> float:
     """FLOPs over modeled DRAM traffic (tiling reloads, wide drains)."""
-    rep = op_latency(op, accel, plan=plan, wide_inputs=wide_inputs)
-    f = flops(op)
-    if rep.traffic["dram"] <= 0:
-        raise ZeroDivisionError(f"no DRAM traffic for {op.name}")
-    return f / rep.traffic["dram"]
+    return report_intensity(op, op_latency(op, accel, plan=plan, wide_inputs=wide_inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +444,15 @@ def _wide_flags(ops: Sequence[OperatorSpec]) -> list[bool]:
 
 
 def model_costs(cfg: ModelConfig, accel: AcceleratorConfig):
-    """(op, CostReport) per operator, full model, non-fused execution."""
+    """(op, CostReport) per operator, full model, non-fused execution.
+
+    Identical layers repeat their operators, so each distinct operator is
+    costed once, through a table made for this call; repeats share its report.
+    """
     ops = model_ops(cfg)
-    out = []
-    for op, wide in zip(ops, _wide_flags(ops)):
-        out.append((op, op_latency(op, accel, wide_inputs=wide)))
-    return out
+    table = OpCostTable()
+    return [(op, table.cost(op, accel, wide_inputs=wide))
+            for op, wide in zip(ops, _wide_flags(ops))]
 
 
 def latency_breakdown(cfg: ModelConfig, accel: AcceleratorConfig) -> dict:
@@ -424,12 +468,16 @@ def latency_breakdown(cfg: ModelConfig, accel: AcceleratorConfig) -> dict:
     return by_cat
 
 
-def model_nonideal_intensity(cfg: ModelConfig, accel: AcceleratorConfig) -> float:
-    """Whole-model FLOPs over whole-model DRAM traffic."""
-    costs = model_costs(cfg, accel)
+def costs_intensity(costs: Sequence[tuple[OperatorSpec, CostReport]]) -> float:
+    """Total FLOPs over total DRAM traffic of `model_costs` output."""
     f = sum(flops(op) for op, _ in costs)
     d = sum(rep.traffic["dram"] for _, rep in costs)
     return f / d
+
+
+def model_nonideal_intensity(cfg: ModelConfig, accel: AcceleratorConfig) -> float:
+    """Whole-model FLOPs over whole-model DRAM traffic."""
+    return costs_intensity(model_costs(cfg, accel))
 
 
 def nonlinear_latency_share(cfg: ModelConfig, accel: AcceleratorConfig) -> float:

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -95,17 +96,6 @@ class Mapping:
     tiles: tuple[int, ...]      # local tile size per dim (multiple of spatial)
     dram_perm: tuple[str, ...]  # outermost .. innermost
 
-    def padded_extents(self) -> tuple[int, ...]:
-        return tuple(_pad(e, s) for e, s in zip(self.nest.extents, self.spatial))
-
-    def dram_factors(self) -> tuple[int, ...]:
-        return tuple(p // t for p, t in zip(self.padded_extents(), self.tiles))
-
-    def positions(self) -> tuple[int, ...]:
-        # position of each nest dim in the DRAM loop order (0 = outermost)
-        where = {d: i for i, d in enumerate(self.dram_perm)}
-        return tuple(where[d] for d in self.nest.names)
-
     def encode(self) -> tuple:
         return (self.spatial, self.tiles, self.dram_perm)
 
@@ -170,7 +160,9 @@ def validate(m: Mapping, nest: LoopNest, accel: AcceleratorConfig,
             out.append(f"tile {t} on {name} not a multiple of spatial {s}")
         if t < 1 or p % t != 0:
             out.append(f"tile {t} on {name} does not divide padded extent {p}")
-    if sorted(m.dram_perm) != sorted(nest.names):
+    if not isinstance(m.dram_perm, tuple):
+        out.append("dram permutation must be a tuple of dim names")
+    elif sorted(m.dram_perm) != sorted(nest.names):
         out.append("dram permutation is not a bijection over dims")
     f1, f2, facc = _footprints(nest, m.tiles, precisions)
     half = accel.scratchpad_bytes // 2
@@ -229,8 +221,7 @@ class _Batch:
 
 
 def _sample_batch(nest: LoopNest, accel: AcceleratorConfig, n: int,
-                  rng: np.random.Generator,
-                  precisions: tuple[int, int, int]) -> _Batch:
+                  rng: np.random.Generator) -> _Batch:
     """n candidate mappings drawn uniformly (not yet validity-filtered)."""
     sdivs = _divisors(accel.pe_width)
     sdiv_arr = np.array(sdivs, dtype=np.int64)
@@ -304,7 +295,8 @@ def _mapping_from_batch(batch: _Batch, i: int) -> Mapping:
 
 def _report(lat, en, dram, compute, accel: AcceleratorConfig) -> CostReport:
     """CostReport of one kernel row, compute-bound by hwmodel.op_latency's rule."""
-    return CostReport(latency=float(lat), energy=float(en), traffic={"dram": float(dram)},
+    return CostReport(latency=float(lat), energy=float(en),
+                      traffic=MappingProxyType({"dram": float(dram)}),
                       compute_bound=bool(compute >= dram / accel.dram_bw))
 
 
@@ -320,7 +312,7 @@ def random_mapping(nest: LoopNest, accel: AcceleratorConfig, seed: int,
     """One uniformly sampled valid mapping; deterministic per seed."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_REJECTION_ROUNDS):
-        batch = _sample_batch(nest, accel, 64, rng, precisions)
+        batch = _sample_batch(nest, accel, 64, rng)
         ok = _valid_mask(batch, accel, precisions)
         idx = np.flatnonzero(ok)
         if len(idx):
@@ -371,7 +363,7 @@ def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
         need = n - got
         if need == 0:
             break
-        batch = _sample_batch(nest, accel, max(need * 2, 1024), rng, precisions)
+        batch = _sample_batch(nest, accel, max(need * 2, 1024), rng)
         # the kernels are elementwise, so costing only the kept columns gives
         # each of them the same latency and energy as costing the whole batch
         keep = np.flatnonzero(_valid_mask(batch, accel, precisions))[:need]

@@ -232,7 +232,7 @@ def test_criterion_07_mapspace_properties():
     rng = np.random.default_rng(0)
     seen = 0
     while seen < 100_000:
-        batch = mapspace._sample_batch(mha, ACCEL, 16384, rng, (1, 1, 1))
+        batch = mapspace._sample_batch(mha, ACCEL, 16384, rng)
         ok = np.flatnonzero(mapspace._valid_mask(batch, ACCEL, (1, 1, 1)))
         for i in ok[: 100_000 - seen]:
             m = mapspace._mapping_from_batch(batch, int(i))

@@ -1,14 +1,16 @@
 """CLI: argument handling, exit codes, CSV/JSON emission, determinism."""
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from tfperf import mapspace
+from tfperf import hwmodel, mapspace
 from tfperf.cli import build_parser, main
-from tfperf.hwmodel import accel_preset
-from tfperf.workload import resnet50_ops
+from tfperf.hwmodel import _shape_key, _wide_flags, accel_preset
+from tfperf.workload import model_ops, model_preset, resnet50_ops
 
 
 def run(capsys, *argv):
@@ -95,6 +97,28 @@ def test_nonideal_ai_model_row(capsys):
     assert rows[-1]["name"] == "model"
     for r in rows[:-1]:
         assert float(r["nonideal_ai"]) <= float(r["ideal_ai"]) + 1e-9, r["name"]
+
+
+@pytest.mark.parametrize("command", ["latency", "nonideal-ai"])
+def test_costing_command_costs_each_distinct_operator_once(capsys, monkeypatch, command):
+    calls = []
+    op_latency = hwmodel.op_latency
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return op_latency(*args, **kwargs)
+
+    monkeypatch.setattr(hwmodel, "op_latency", counted)
+    ops = model_ops(model_preset("bert-base", 512))
+    distinct = {_shape_key(op, w) for op, w in zip(ops, _wide_flags(ops))}
+    counts = []
+    for _ in range(2):  # no table survives an invocation
+        calls.clear()
+        assert main([command, "--model", "bert-base"]) == 0
+        capsys.readouterr()
+        counts.append(len(calls))
+    assert counts == [len(distinct)] * 2
+    assert len(distinct) < len(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +371,43 @@ def test_csv_bytes_match_dictwriter(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == oracle.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Byte goldens of the costing commands
+# ---------------------------------------------------------------------------
+
+GOLDENS = Path(__file__).parent / "data" / "cli_goldens.json"
+GOLDEN_COMMANDS = ("latency", "nonideal-ai", "memsweep")
+GOLDEN_MODELS = ("bert-base", "bert-large", "gpt2", "resnet50", "decoder3.json")
+DECODER3 = {"name": "decoder3", "layers": 3, "d": 256, "heads": 4, "d_ffn": 1024,
+            "mode": "decoder"}
+
+
+def golden_argvs(command: str, model: str):
+    for accel in ("gemmini-baseline", "gemmini-tuned"):
+        for seq_len in (128, 512, 2048):
+            for fmt in ("csv", "json"):
+                yield [command, "--model", model, "--accel", accel,
+                       "--seqlen", str(seq_len), "--format", fmt]
+
+
+def golden_digests(capsys, command: str, model: str) -> dict:
+    """sha256 of stdout per argv; the working directory must hold decoder3.json."""
+    out = {}
+    for argv in golden_argvs(command, model):
+        assert main(argv) == 0, argv
+        out[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("model", GOLDEN_MODELS)
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
+def test_costing_commands_match_goldens(tmp_path, monkeypatch, capsys, command, model):
+    # the model file is named relative to the working directory, so that the
+    # JSON reports' generated_by echo is the same wherever the test runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "decoder3.json").write_text(json.dumps(DECODER3))
+    want = json.loads(GOLDENS.read_text())
+    got = golden_digests(capsys, command, model)
+    assert got == {k: want[k] for k in got}

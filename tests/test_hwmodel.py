@@ -1,5 +1,6 @@
 """Tiled latency/energy model: tiling plans, per-op costs, model views."""
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +15,16 @@ from tfperf.workload import (
     encoder_ops,
     flops,
     model_from_json,
+    model_ops,
     model_preset,
 )
 from tfperf.hwmodel import (
     AcceleratorConfig,
     EnergyTable,
     InfeasibleConfigError,
+    OpCostTable,
     TilingPlan,
+    _shape_key,
     _wide_flags,
     accel_from_json,
     accel_preset,
@@ -353,3 +357,98 @@ def test_op_latency_monotone_in_bw(bw):
     lo = op_latency(op, AcceleratorConfig(dram_bw=bw)).latency
     hi = op_latency(op, AcceleratorConfig(dram_bw=bw * 2)).latency
     assert hi <= lo + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Operator-cost table
+# ---------------------------------------------------------------------------
+
+DECODER3 = {"name": "decoder3", "layers": 3, "d": 256, "heads": 4, "d_ffn": 1024,
+            "mode": "decoder"}
+
+
+def _report_fields(rep) -> tuple:
+    return (rep.latency, rep.energy, dict(rep.traffic), rep.compute_bound)
+
+
+@pytest.mark.parametrize("seq_len", [128, 512, 2048])
+@pytest.mark.parametrize("accel_name", ["gemmini-baseline", "gemmini-tuned"])
+@pytest.mark.parametrize("model", ["bert-base", "bert-large", "gpt2", "resnet50", "decoder3"])
+def test_model_costs_match_uncached_op_latency(model, accel_name, seq_len):
+    cfg = (model_from_json(DECODER3, seq_len=seq_len) if model == "decoder3"
+           else model_preset(model, seq_len))
+    accel = accel_preset(accel_name)
+    ops = model_ops(cfg)
+    costs = model_costs(cfg, accel)
+    assert [op for op, _ in costs] == ops
+    for (op, rep), wide in zip(costs, _wide_flags(ops)):
+        want = op_latency(op, accel, wide_inputs=wide)
+        assert _report_fields(rep) == _report_fields(want), op.name
+
+
+def test_model_costs_share_reports_of_repeated_layers(accel, bert512):
+    costs = model_costs(bert512, accel)
+    first = {op.name[3:]: rep for op, rep in costs if op.name.startswith("L0.")}
+    for op, rep in costs:
+        if op.name.startswith("L11."):
+            assert rep is first[op.name[4:]], op.name
+
+
+def test_op_cost_table_counts_and_keys(accel, bert512):
+    ops = model_ops(bert512)
+    wide = _wide_flags(ops)
+    table = OpCostTable()
+    for op, w in zip(ops, wide):
+        table.cost(op, accel, wide_inputs=w)
+    distinct = {_shape_key(op, w) for op, w in zip(ops, wide)}
+    # per layer, wq/wk/wv share one shape and so do the two add+LayerNorm steps
+    assert len(table) == table.misses == len(distinct) == 9
+    assert table.hits == len(ops) - len(distinct)
+    # the name is not part of the key; the accelerator and wide flag are
+    assert table.cost(replace(ops[0], name="renamed"), accel) is table.cost(ops[0], accel)
+    other = AcceleratorConfig(dram_bw=accel.dram_bw * 2)
+    assert table.cost(ops[0], other) is not table.cost(ops[0], accel)
+    softmax = next(op for op, w in zip(ops, wide) if w)
+    assert (table.cost(softmax, accel, wide_inputs=False).traffic["dram"]
+            < table.cost(softmax, accel, wide_inputs=True).traffic["dram"])
+
+
+_MM = OperatorSpec("mm", OperatorClass.FfnProjection, Matmul(96, 64, 80))
+_MV = OperatorSpec("mv", OperatorClass.ActToAct, MatvecSeries(64, 64, 64))
+
+
+@pytest.mark.parametrize("base, variant", [
+    (_MM, replace(_MM, kind=Matmul(96, 64, 96))),
+    (_MM, replace(_MM, repeat=3)),
+    (_MM, replace(_MM, in_precisions=(2, 1))),
+    (_MM, replace(_MM, out_precision=2)),
+    (_MM, replace(_MM, pre_nonlinear=True)),
+    (_MV, replace(_MV, op_class=OperatorClass.FfnProjection)),
+], ids=["kind", "repeat", "in_precisions", "out_precision", "pre_nonlinear", "op_class"])
+def test_op_cost_table_keys_every_field_op_latency_reads(accel, base, variant):
+    table = OpCostTable()
+    first = table.cost(base, accel)
+    got = table.cost(variant, accel)
+    assert _report_fields(got) == _report_fields(op_latency(variant, accel))
+    assert _report_fields(got) != _report_fields(first)
+    assert len(table) == 2
+
+
+def test_op_cost_table_does_not_keep_failures():
+    tiny = AcceleratorConfig(scratchpad_bytes=64, accumulator_bytes=64)
+    op = OperatorSpec("mm", OperatorClass.FfnProjection, Matmul(64, 64, 64))
+    table = OpCostTable()
+    for _ in range(2):
+        with pytest.raises(InfeasibleConfigError):
+            table.cost(op, tiny)
+    assert (len(table), table.misses, table.hits) == (0, 2, 0)
+
+
+def test_table_reports_are_read_only(accel):
+    rep = OpCostTable().cost(_MM, accel)
+    before = dict(rep.traffic)
+    with pytest.raises(TypeError):
+        rep.traffic["dram"] = 0.0
+    with pytest.raises(TypeError):
+        del rep.traffic["spad"]
+    assert dict(rep.traffic) == before

@@ -78,9 +78,6 @@ def test_nest_of():
 
 def test_mapping_helpers():
     m = _mapping(spatial=(2, 1, 8), tiles=(4, 8, 8), dram_perm=("k", "m", "n"))
-    assert m.padded_extents() == (8, 8, 8)
-    assert m.dram_factors() == (2, 1, 1)
-    assert m.positions() == (1, 0, 2)  # (m, k, n) positions in dram_perm
     assert m.encode() == ((2, 1, 8), (4, 8, 8), ("k", "m", "n"))
 
 
@@ -106,6 +103,7 @@ def test_validate_each_violation(accel):
         "tile not multiple of spatial": _mapping(spatial=(8, 1, 1), tiles=(4, 8, 8)),
         "tile does not divide padded": _mapping(tiles=(3, 8, 8)),
         "perm not bijection": _mapping(dram_perm=("m", "m", "n")),
+        "perm is a list": _mapping(dram_perm=["m", "k", "n"]),
         "zero spatial on m": _mapping(spatial=(0, 1, 1)),
         "zero spatial on k": _mapping(spatial=(1, 0, 1)),
         "negative spatial on n": _mapping(spatial=(1, 1, -2)),
@@ -151,6 +149,13 @@ def test_validate_capacity_violations():
 def test_evaluate_rejects_invalid(accel):
     with pytest.raises(InfeasibleConfigError):
         evaluate(_mapping(tiles=(3, 8, 8)), SMALL, accel)
+
+
+def test_evaluate_report_is_read_only(accel):
+    rep = evaluate(_mapping(), SMALL, accel)
+    with pytest.raises(TypeError):
+        rep.traffic["dram"] = 0.0
+    assert rep.traffic == {"dram": 192.0}
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,7 @@ def _sample_batch_reference(nest, accel, n, rng):
 def test_sample_batch_matches_unique_mask_reference(nest, pe_width, n, seed):
     accel = AcceleratorConfig(pe_width=pe_width)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = _sample_batch(nest, accel, n, rng, (1, 1, 1))
+    batch = _sample_batch(nest, accel, n, rng)
     spatial, tiles, perm_idx = _sample_batch_reference(nest, accel, n, ref_rng)
     assert np.array_equal(batch.spatial, spatial)
     assert np.array_equal(batch.tiles, tiles)
