@@ -64,7 +64,6 @@ from .mapspace import (  # noqa: F401
     stats_from_costs,
 )
 from .fusion import (  # noqa: F401
-    FusionConsumer,
     FusionInfeasibleError,
     FusionPair,
     FusionReport,

@@ -197,20 +197,22 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Accelerator performance toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, seqlen=True):
+    def common(p, model=True, seqlen=True, accel=True, seed=False):
         if model:
             p.add_argument("--model", default="bert-base",
                            help="model preset name or JSON config path")
-        p.add_argument("--accel", default="gemmini-baseline",
-                       help="accelerator preset name or JSON config path")
+        if accel:
+            p.add_argument("--accel", default="gemmini-baseline",
+                           help="accelerator preset name or JSON config path")
         if seqlen:
             p.add_argument("--seqlen", type=int, default=512)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="FLOPs/MOPs/intensity per operator")
-    common(p)
+    common(p, accel=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("latency", help="latency and energy per operator")
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_memsweep)
 
     p = sub.add_parser("mapsearch", help="random mapspace sampling statistics")
-    common(p, model=False, seqlen=False)
+    common(p, model=False, seqlen=False, seed=True)
     p.add_argument("--op", default="bert.mha",
                    help=f"named nest: one of {sorted(mapspace.NAMED_NESTS)}")
     p.add_argument("--samples", type=int, default=1000)
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fusion)
 
     p = sub.add_parser("search", help="evolutionary architecture search")
-    common(p, model=False, seqlen=False)
+    common(p, model=False, seqlen=False, seed=True)
     p.add_argument("--space", default=None, help="search space JSON path")
     p.add_argument("--pop", type=int, default=40)
     p.add_argument("--rounds", type=int, default=40)

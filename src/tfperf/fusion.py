@@ -10,6 +10,10 @@ matmul of block i.
 Non-fused execution uses the greedy max-tile heuristic for the producer,
 drains 4-byte partials to DRAM, and runs the consumer standalone (three
 4-byte input passes plus the narrow store).
+
+Both schedules are costed by `hwmodel`: the producer by its tile walk, the
+standalone consumer by its elementwise rule. The only rule kept here is the
+consumer reading its inputs from the accumulator.
 """
 from __future__ import annotations
 
@@ -17,16 +21,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .hwmodel import _STANDALONE_PASSES, AcceleratorConfig, greedy_tiles, op_latency
-from .mapspace import Mapping, matmul_nest, _divisors
-from .workload import Matmul, ModelConfig, OperatorSpec, encoder_ops, model_preset
+from .hwmodel import (_ACCUM_BYTES, _STANDALONE_PASSES, AcceleratorConfig, TilingPlan,
+                      _tile_grid, greedy_tiles, op_latency)
+from .mapspace import _divisors
+from .workload import Elementwise, Matmul, ModelConfig, OperatorSpec, encoder_ops, model_preset
 
 PAIR_NAMES = ("qk-softmax", "wout-ln", "ffn2-ln")
-
-
-class FusionConsumer(Enum):
-    Softmax = "softmax"
-    LayerNorm = "layernorm"
 
 
 class Verdict(Enum):
@@ -41,7 +41,7 @@ class FusionInfeasibleError(ValueError):
 @dataclass(frozen=True)
 class FusionPair:
     producer: OperatorSpec
-    consumer: FusionConsumer
+    consumer: OperatorSpec  # the Softmax/LayerNorm that reads every output
     reduction_dim: str  # producer output dim the consumer normalizes along
 
     def check(self) -> "FusionPair":
@@ -49,6 +49,13 @@ class FusionPair:
             raise TypeError("fusion producer must be a Matmul operator")
         if self.reduction_dim not in ("m", "n"):
             raise ValueError("reduction_dim must be an output dim: 'm' or 'n'")
+        if not isinstance(self.consumer.kind, Elementwise):
+            raise ValueError("fusion consumer must be an Elementwise operator")
+        k = self.producer.kind
+        outputs = k.M * k.N * self.producer.repeat
+        if self.consumer.kind.elements * self.consumer.repeat != outputs:
+            raise ValueError(f"fusion consumer reads {self.consumer.kind.elements} x "
+                             f"{self.consumer.repeat} elements, producer writes {outputs}")
         return self
 
     @property
@@ -67,35 +74,17 @@ class FusionReport:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class FusedConstraints:
-    """Concrete constrained tiling; as_mapping() makes it validate()-checkable."""
-    pair: FusionPair
-    tile_m: int
-    tile_k: int
-    tile_n: int
-
-    def as_mapping(self) -> Mapping:
-        k = self.pair.producer.kind
-        nest = matmul_nest(k.M, k.K, k.N)
-        block = self.pair.block_dim
-        inner = self.pair.reduction_dim
-        return Mapping(nest=nest, spatial=(1, 1, 1),
-                       tiles=(self.tile_m, self.tile_k, self.tile_n),
-                       dram_perm=(block, "k", inner))
-
-
 def bert_pair(name: str, seq_len: int = 512,
               cfg: ModelConfig | None = None) -> FusionPair:
     if cfg is None:
         cfg = model_preset("bert-base", seq_len=seq_len)
     ops = {op.name: op for op in encoder_ops(cfg)[:12]}
     if name == "qk-softmax":
-        return FusionPair(ops["L0.qk"], FusionConsumer.Softmax, "n").check()
+        return FusionPair(ops["L0.qk"], ops["L0.softmax"], "n").check()
     if name == "wout-ln":
-        return FusionPair(ops["L0.wout"], FusionConsumer.LayerNorm, "m").check()
+        return FusionPair(ops["L0.wout"], ops["L0.add_ln1"], "m").check()
     if name == "ffn2-ln":
-        return FusionPair(ops["L0.w2"], FusionConsumer.LayerNorm, "m").check()
+        return FusionPair(ops["L0.w2"], ops["L0.add_ln2"], "m").check()
     raise ValueError(f"unknown fusion pair {name!r}; choose from {PAIR_NAMES}")
 
 
@@ -105,7 +94,7 @@ def _largest_divisor_leq(x: int, cap: int) -> int:
     return max(d for d in _divisors(x) if d <= cap)
 
 
-def fused_constraints(pair: FusionPair, accel: AcceleratorConfig) -> FusedConstraints:
+def fused_constraints(pair: FusionPair, accel: AcceleratorConfig) -> TilingPlan:
     """Tiling forced by accumulator residency of the normalization axis."""
     pair.check()
     k = pair.producer.kind
@@ -115,11 +104,11 @@ def fused_constraints(pair: FusionPair, accel: AcceleratorConfig) -> FusedConstr
     full_ext = k.N if pair.reduction_dim == "n" else k.M
     block_ext = k.M if pair.reduction_dim == "n" else k.N
 
-    # block co-tile: 4-byte rows/columns of the full axis must stay resident
-    row_bytes = full_ext * 4
+    # block co-tile: accumulator-wide rows/columns of the full axis stay resident
+    row_bytes = full_ext * _ACCUM_BYTES
     if row_bytes > acc_half:
         raise FusionInfeasibleError(
-            f"one {full_ext}-wide 4-byte vector ({row_bytes} B) exceeds the "
+            f"one {full_ext}-wide {_ACCUM_BYTES}-byte vector ({row_bytes} B) exceeds the "
             f"accumulator half ({acc_half} B)")
     t_block = _largest_divisor_leq(block_ext, acc_half // row_bytes)
 
@@ -131,65 +120,44 @@ def fused_constraints(pair: FusionPair, accel: AcceleratorConfig) -> FusedConstr
             f"full {full_ext}-wide axis leaves no room for a k-slice in the "
             f"scratchpad half ({half} B)")
     t_k = _largest_divisor_leq(k.K, cap)
-    return FusedConstraints(pair, t_m, t_k, t_n)
+    return TilingPlan(t_m, t_k, t_n, wide_output=True)
 
 
-def _consumer_block_cycles(elements: int, accel: AcceleratorConfig,
-                           from_accumulator: bool) -> float:
-    """Vector work for `elements` finished outputs; fused reads skip DRAM."""
-    if elements == 0:
-        return 0.0
+def _consumer_block_cycles(consumer: OperatorSpec, elements: int,
+                           accel: AcceleratorConfig) -> float:
+    """Vector work for `elements` finished outputs read from the accumulator:
+    no DRAM loads, only the store at the consumer's output width."""
     comp = _STANDALONE_PASSES * math.ceil(elements / accel.pe_width) * accel.sfu_vector_latency
-    store = elements * 1
-    loads = 0 if from_accumulator else elements * 4 * _STANDALONE_PASSES
-    return max(comp, (store + loads) / accel.dram_bw)
+    return max(comp, elements * consumer.out_precision / accel.dram_bw)
 
 
 def eval_pair(pair: FusionPair, accel: AcceleratorConfig,
               fused: bool = True) -> FusionReport:
     """Fused-vs-nonfused latency report for one producer/consumer pair."""
     pair.check()
-    k = pair.producer.kind
-    act_b = max(pair.producer.in_precisions)
-    rep = pair.producer.repeat
-
     plan = greedy_tiles(pair.producer, accel, wide_output=True)
     producer_nonfused = op_latency(pair.producer, accel, plan=plan).latency
-    consumer_standalone = rep * _consumer_block_cycles(
-        k.M * k.N, accel, from_accumulator=False)
-    nonfused = producer_nonfused + consumer_standalone
+    nonfused = (producer_nonfused
+                + op_latency(pair.consumer, accel, wide_inputs=True).latency)
     if not fused:
         return FusionReport(nonfused, nonfused, 1.0, 0.0, Verdict.FusionLoses)
 
     try:
-        c = fused_constraints(pair, accel)
+        plan = fused_constraints(pair, accel)
     except FusionInfeasibleError as exc:
         return FusionReport(math.inf, nonfused, math.inf, 0.0,
                             Verdict.FusionLoses, feasible=False, reason=str(exc))
 
-    full_ext = k.N if pair.reduction_dim == "n" else k.M
-    block_ext = k.M if pair.reduction_dim == "n" else k.N
-    t_block = c.tile_m if pair.reduction_dim == "n" else c.tile_n
-    n_blocks = block_ext // t_block
-    f_k = k.K // c.tile_k
-    W = accel.pe_width
-    half = accel.scratchpad_bytes // 2
+    # one tile spans the full axis, so the walk is one row of k tiles per
+    # block; only the first block loads the shared operand if it is resident.
+    # fsum rounds each row's sum once, as a product f_k * tile would.
+    lat = _tile_grid(pair.producer, plan, accel, drain=False)[0]
+    blocks = lat.reshape(-1, lat.shape[2])
+    n_blocks = len(blocks)
+    b_first, b_rest = math.fsum(blocks[0]), math.fsum(blocks[-1])
+    cons = _consumer_block_cycles(pair.consumer, plan.tile_m * plan.tile_n, accel)
 
-    # the full-axis operand is shared across blocks; the block operand is not
-    shared_bytes = k.K * full_ext * act_b
-    shared_resident = shared_bytes <= half
-    own_slice = t_block * c.tile_k * act_b
-    shared_slice = c.tile_k * full_ext * act_b
-    comp_tile = c.tile_k * math.ceil(t_block / W) * math.ceil(full_ext / W) + W
-
-    def block_cycles(loads_shared: bool) -> float:
-        by = own_slice + (shared_slice if loads_shared else 0)
-        return f_k * max(comp_tile, by / accel.dram_bw)
-
-    b_first = block_cycles(True)
-    b_rest = block_cycles(not shared_resident)
-    cons = _consumer_block_cycles(t_block * full_ext, accel, from_accumulator=True)
-
+    rep = pair.producer.repeat
     fused_lat = rep * (b_first + (n_blocks - 1) * max(b_rest, cons) + cons)
     hidden = rep * (n_blocks - 1) * min(b_rest, cons)
     producer_fused = rep * (b_first + (n_blocks - 1) * b_rest)

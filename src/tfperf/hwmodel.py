@@ -170,6 +170,11 @@ def matmul_dims(op: OperatorSpec) -> tuple[int, int, int]:
     raise TypeError(f"need a Matmul or Conv, got {type(k).__name__}")
 
 
+# Width of an accumulator entry: partial sums, and the outputs that feed
+# Softmax/LayerNorm, which drain at accumulator width.
+_ACCUM_BYTES = 4
+
+
 def _pad(x: int, w: int) -> int:
     return ((x + w - 1) // w) * w
 
@@ -180,7 +185,7 @@ def _in_bytes(op: OperatorSpec) -> tuple[int, int]:
 
 
 def _out_bytes(op: OperatorSpec, wide_output: bool) -> int:
-    return 4 if wide_output else op.out_precision
+    return _ACCUM_BYTES if wide_output else op.out_precision
 
 
 def _tile_fits(tm: int, tk: int, tn: int, accel: AcceleratorConfig,
@@ -247,15 +252,17 @@ def _sizes(total: int, tile: int) -> np.ndarray:
     return out
 
 
-def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
-    """Vectorized m-outer/n-middle/k-inner tile walk.
+def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig,
+               drain: bool = True):
+    """Per-tile grids of the m-outer/n-middle/k-inner walk, on axes (m, n, k).
 
-    Returns (latency, compute_cycles, traffic dict, macs) for one repeat.
+    Returns (latency, compute, DRAM bytes, drained bytes) for one repeat.
+    With `drain=False` the finished outputs stay in the accumulator, as in a
+    fused schedule whose consumer reads them there.
     """
     M, K, N = matmul_dims(op)
     W = accel.pe_width
     in1_b, in2_b = _in_bytes(op)
-    out_b = _out_bytes(op, plan.wide_output)
     half = accel.scratchpad_bytes // 2
     in1_resident = M * K * in1_b <= half
     in2_resident = K * N * in2_b <= half
@@ -263,7 +270,6 @@ def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     ms = _sizes(M, plan.tile_m)
     ks = _sizes(K, plan.tile_k)
     ns = _sizes(N, plan.tile_n)
-    # tile grids: axis order (m, n, k)
     tm = ms[:, None, None]
     tn = ns[None, :, None]
     tk = ks[None, None, :]
@@ -275,11 +281,21 @@ def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     if in2_resident:  # loaded only while the first m block is computed
         in2_bytes = in2_bytes * (np.arange(len(ms))[:, None, None] == 0)
     out_bytes = np.zeros((len(ms), len(ns), len(ks)))
-    out_bytes[:, :, -1] = (ms[:, None] * ns[None, :]) * out_b
+    if drain:
+        out_bytes[:, :, -1] = (ms[:, None] * ns[None, :]) * _out_bytes(op, plan.wide_output)
 
     bytes_per_tile = in1_bytes + in2_bytes + out_bytes
     compute = tk * np.ceil(tm / W) * np.ceil(tn / W) + W
-    latency = float(np.maximum(compute, bytes_per_tile / accel.dram_bw).sum())
+    latency = np.maximum(compute, bytes_per_tile / accel.dram_bw)
+    return latency, compute, bytes_per_tile, out_bytes
+
+
+def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
+    """The tile walk summed: (latency, compute_cycles, traffic dict, macs) for one repeat."""
+    latency, compute, bytes_per_tile, out_bytes = _tile_grid(op, plan, accel)
+    M, K, N = matmul_dims(op)
+    W = accel.pe_width
+    in1_b, in2_b = _in_bytes(op)
     compute_cycles = float(np.broadcast_to(compute, bytes_per_tile.shape).sum())
     reps = op.kind.repetitions if isinstance(op.kind, Conv) else 1
     macs = float(M) * K * N * reps
@@ -288,9 +304,9 @@ def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
         "dram": dram,
         # W-wide array reuse: each streamed operand element feeds W MACs
         "spad": dram + macs * (in1_b + in2_b) / W,
-        "acc": macs * 4.0 / W + float(out_bytes.sum()) * reps,
+        "acc": macs * _ACCUM_BYTES / W + float(out_bytes.sum()) * reps,
     }
-    return latency * reps, compute_cycles * reps, traffic, macs
+    return float(latency.sum()) * reps, compute_cycles * reps, traffic, macs
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +342,7 @@ def _matvec_cost(op: OperatorSpec, accel: AcceleratorConfig):
     dram = float(by.sum())
     traffic = {"dram": dram,
                "spad": dram + macs * (in1_b + in2_b) / W,
-               "acc": macs * 4.0 / W}
+               "acc": macs * _ACCUM_BYTES / W}
     return latency, float(comp.sum()), traffic, macs
 
 
@@ -338,7 +354,7 @@ def _elementwise_cost(op: OperatorSpec, accel: AcceleratorConfig, wide_inputs: b
     W = accel.pe_width
     if wide_inputs:
         passes = _STANDALONE_PASSES
-        by = float(k.elements) * (passes * 4 + op.out_precision)
+        by = float(k.elements) * (passes * _ACCUM_BYTES + op.out_precision)
     else:
         passes = k.passes
         by = float(k.elements) * (passes * op.in_precisions[0] + op.out_precision)

@@ -127,14 +127,13 @@ class ModelConfig:
     mode: Mode = Mode.Encoder
     activation_precision: int = 1
     weight_precision: int = 1
-    wide_accum_precision: int = 4
 
     def check(self) -> "ModelConfig":
         if min(self.num_layers, self.model_dim, self.num_heads, self.ffn_dim, self.seq_len) < 1:
             raise ConfigError("N, d, h, d_FFN, l must all be >= 1")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(f"d={self.model_dim} not divisible by h={self.num_heads}")
-        for p in (self.activation_precision, self.weight_precision, self.wide_accum_precision):
+        for p in (self.activation_precision, self.weight_precision):
             if p not in (1, 2, 4):
                 raise ConfigError(f"precision {p} not in {{1, 2, 4}} bytes")
         return self
@@ -515,7 +514,7 @@ def check_keys(data: dict, known: Sequence[str], what: str) -> None:
 
 
 _MODEL_KEYS = ("name", "layers", "d", "heads", "d_ffn", "seq_len", "mode",
-               "act_bytes", "weight_bytes", "accum_bytes")
+               "act_bytes", "weight_bytes")
 
 
 def model_from_json(doc: str | dict, seq_len: int | None = None) -> ModelConfig:
@@ -535,7 +534,6 @@ def model_from_json(doc: str | dict, seq_len: int | None = None) -> ModelConfig:
             mode=Mode(data.get("mode", "encoder")),
             activation_precision=json_int(data.get("act_bytes", 1), "act_bytes"),
             weight_precision=json_int(data.get("weight_bytes", 1), "weight_bytes"),
-            wide_accum_precision=json_int(data.get("accum_bytes", 4), "accum_bytes"),
         )
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad model config: {e}") from e

@@ -47,9 +47,36 @@ def test_unknown_model_exits_2(capsys):
     assert "alexnet" in err
 
 
+def test_model_file_with_accum_bytes_exits_2(tmp_path, capsys):
+    # the accumulator width is fixed by the hardware model, not the model file
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"layers": 1, "d": 64, "heads": 2, "d_ffn": 128,
+                                "accum_bytes": 4}))
+    code, out, err = run(capsys, "latency", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown model config key(s) ['accum_bytes']")
+    assert err.count("\n") == 1
+
+
 def test_unknown_accel_exits_2(capsys):
     code, _, err = run(capsys, "latency", "--accel", "tpu")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--seed", "1"),
+    ("latency", "--seed", "1"),
+    ("nonideal-ai", "--seed", "1"),
+    ("memsweep", "--seed", "1"),
+    ("fusion", "--seed", "1"),
+    ("analyze", "--accel", "gemmini-baseline"),
+], ids=lambda a: "-".join(a[:2]))
+def test_option_no_handler_reads_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_unknown_mapsearch_op_exits_2(capsys):

@@ -61,8 +61,7 @@ MODEL = {"name": st.text(max_size=6), "layers": st.integers(1, 3),
          "d": st.sampled_from([64, 96, 128.0]), "heads": st.sampled_from([1, 2, 4]),
          "d_ffn": st.sampled_from([64, 256, "128"]), "seq_len": st.integers(1, 256),
          "mode": st.sampled_from(["encoder", "decoder"]),
-         "act_bytes": st.sampled_from([1, 2]), "weight_bytes": st.sampled_from([1, 2]),
-         "accum_bytes": st.sampled_from([1, 4])}
+         "act_bytes": st.sampled_from([1, 2]), "weight_bytes": st.sampled_from([1, 2])}
 SPACE = {k: st.lists(st.integers(1, 1024), min_size=1, max_size=4) for k in _SPACE_KEYS}
 
 

@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from tfperf.workload import Matmul, MatvecSeries, OperatorClass, OperatorSpec
-from tfperf.hwmodel import AcceleratorConfig, accel_preset
-from tfperf.mapspace import validate
+from tfperf.workload import Matmul, MatvecSeries, OperatorClass, OperatorSpec, model_preset
+from tfperf.hwmodel import (AcceleratorConfig, accel_preset, greedy_tiles, model_costs,
+                            op_latency)
+from tfperf.mapspace import Mapping, matmul_nest, validate
 from tfperf.fusion import (
     PAIR_NAMES,
-    FusionConsumer,
     FusionInfeasibleError,
     FusionPair,
     Verdict,
@@ -31,28 +31,44 @@ def _accel(acc_kb: int) -> AcceleratorConfig:
 
 def test_bert_pairs():
     qk = bert_pair("qk-softmax", 512)
-    assert qk.consumer is FusionConsumer.Softmax
+    assert qk.consumer.name == "L0.softmax"
     assert qk.reduction_dim == "n"
     assert qk.block_dim == "m"
     assert qk.producer.kind == Matmul(512, 64, 512)
     assert qk.producer.repeat == 12
     wout = bert_pair("wout-ln", 512)
-    assert wout.consumer is FusionConsumer.LayerNorm
+    assert wout.consumer.name == "L0.add_ln1"
     assert (wout.reduction_dim, wout.block_dim) == ("m", "n")
     assert wout.producer.kind == Matmul(768, 768, 512)
     ffn2 = bert_pair("ffn2-ln", 512)
     assert ffn2.producer.kind == Matmul(768, 3072, 512)
+    assert ffn2.consumer.name == "L0.add_ln2"
     with pytest.raises(ValueError):
         bert_pair("nope")
 
 
 def test_pair_check_errors():
+    softmax = bert_pair("qk-softmax", 8).consumer
     mv = OperatorSpec("t", OperatorClass.ActToAct, MatvecSeries(8, 8, 8))
     with pytest.raises(TypeError):
-        FusionPair(mv, FusionConsumer.Softmax, "n").check()
-    mm = OperatorSpec("t", OperatorClass.ActToAct, Matmul(8, 8, 8))
+        FusionPair(mv, softmax, "n").check()
+    mm = OperatorSpec("t", OperatorClass.ActToAct, Matmul(8, 8, 8), repeat=12)
     with pytest.raises(ValueError):
-        FusionPair(mm, FusionConsumer.Softmax, "k").check()
+        FusionPair(mm, softmax, "k").check()
+
+
+def test_pair_check_rejects_non_elementwise_consumer():
+    pair = bert_pair("qk-softmax", 8)
+    with pytest.raises(ValueError, match="Elementwise"):
+        FusionPair(pair.producer, pair.producer, "n").check()
+
+
+def test_pair_check_rejects_consumer_of_other_size():
+    pair = bert_pair("wout-ln", 8)
+    with pytest.raises(ValueError, match="elements"):
+        FusionPair(pair.producer, bert_pair("qk-softmax", 8).consumer, "m").check()
+    with pytest.raises(ValueError, match="elements"):
+        FusionPair(pair.producer, replace(pair.consumer, repeat=2), "m").check()
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +102,12 @@ def test_constraints_validate_as_mapping():
     for name in PAIR_NAMES:
         for kb in (128, 256):
             accel = _accel(kb)
-            c = fused_constraints(bert_pair(name, 512), accel)
-            m = c.as_mapping()
+            pair = bert_pair(name, 512)
+            c = fused_constraints(pair, accel)
+            k = pair.producer.kind
+            m = Mapping(nest=matmul_nest(k.M, k.K, k.N), spatial=(1, 1, 1),
+                        tiles=(c.tile_m, c.tile_k, c.tile_n),
+                        dram_perm=(pair.block_dim, "k", pair.reduction_dim))
             assert validate(m, m.nest, accel, precisions=(1, 1, 4)) == [], (name, kb)
 
 
@@ -153,10 +173,9 @@ def test_wout_penalty_shrinks_with_accumulator():
 
 def test_softmax_dominates_nonfused_cycles():
     base = accel_preset("gemmini-baseline")
-    r = eval_pair(bert_pair("qk-softmax", 512), base)
-    from tfperf.fusion import _consumer_block_cycles
-    k = bert_pair("qk-softmax", 512).producer.kind
-    cons = 12 * _consumer_block_cycles(k.M * k.N, base, from_accumulator=False)
+    pair = bert_pair("qk-softmax", 512)
+    r = eval_pair(pair, base)
+    cons = op_latency(pair.consumer, base, wide_inputs=True).latency
     share = cons / r.nonfused_latency
     assert share == pytest.approx(0.7536231884057971, rel=1e-12)
     assert share >= 0.60
@@ -164,14 +183,11 @@ def test_softmax_dominates_nonfused_cycles():
 
 
 def test_hidden_cycles_bounded_by_consumer_work():
-    from tfperf.fusion import _consumer_block_cycles
     for name in PAIR_NAMES:
         for kb in (128, 256):
             pair = bert_pair(name, 512)
             r = eval_pair(pair, _accel(kb))
-            k = pair.producer.kind
-            standalone = pair.producer.repeat * _consumer_block_cycles(
-                k.M * k.N, _accel(kb), from_accumulator=False)
+            standalone = op_latency(pair.consumer, _accel(kb), wide_inputs=True).latency
             assert 0 <= r.hidden_cycles <= standalone, (name, kb)
 
 
@@ -200,6 +216,98 @@ def test_eval_pair_unfused_mode():
     assert r.fused_latency == r.nonfused_latency
     assert r.producer_penalty == 1.0
     assert r.hidden_cycles == 0.0
+
+
+def test_nonfused_consumer_is_the_model_costs_report():
+    accel = accel_preset("gemmini-baseline")
+    for l in (128, 512):
+        reports = {op.name: (op, rep)
+                   for op, rep in model_costs(model_preset("bert-base", seq_len=l), accel)}
+        for name in PAIR_NAMES:
+            pair = bert_pair(name, l)
+            op, rep = reports[pair.consumer.name]
+            assert op == pair.consumer
+            plan = greedy_tiles(pair.producer, accel, wide_output=True)
+            producer = op_latency(pair.producer, accel, plan=plan).latency
+            r = eval_pair(pair, accel, fused=False)
+            assert r.nonfused_latency == producer + rep.latency, (name, l)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the fused block rule and the standalone consumer rule written
+# out by hand (f_k equal k tiles per block), independent of hwmodel
+# ---------------------------------------------------------------------------
+
+def _ref_consumer_cycles(elements, accel, from_accumulator):
+    comp = 3 * math.ceil(elements / accel.pe_width) * accel.sfu_vector_latency
+    loads = 0 if from_accumulator else elements * 4 * 3
+    return max(comp, (elements * 1 + loads) / accel.dram_bw)
+
+
+def _ref_eval_pair(pair, accel):
+    """(fused, nonfused, penalty, hidden, verdict, feasible) by the reference rules."""
+    k = pair.producer.kind
+    act_b = max(pair.producer.in_precisions)
+    rep = pair.producer.repeat
+    plan = greedy_tiles(pair.producer, accel, wide_output=True)
+    producer_nonfused = op_latency(pair.producer, accel, plan=plan).latency
+    nonfused = producer_nonfused + rep * _ref_consumer_cycles(k.M * k.N, accel, False)
+    try:
+        c = fused_constraints(pair, accel)
+    except FusionInfeasibleError:
+        return math.inf, nonfused, math.inf, 0.0, Verdict.FusionLoses, False
+
+    full_ext = k.N if pair.reduction_dim == "n" else k.M
+    block_ext = k.M if pair.reduction_dim == "n" else k.N
+    t_block = c.tile_m if pair.reduction_dim == "n" else c.tile_n
+    n_blocks = block_ext // t_block
+    f_k = k.K // c.tile_k
+    W = accel.pe_width
+    shared_resident = k.K * full_ext * act_b <= accel.scratchpad_bytes // 2
+    own_slice = t_block * c.tile_k * act_b
+    shared_slice = c.tile_k * full_ext * act_b
+    comp_tile = c.tile_k * math.ceil(t_block / W) * math.ceil(full_ext / W) + W
+
+    def block_cycles(loads_shared):
+        by = own_slice + (shared_slice if loads_shared else 0)
+        return f_k * max(comp_tile, by / accel.dram_bw)
+
+    b_first = block_cycles(True)
+    b_rest = block_cycles(not shared_resident)
+    cons = _ref_consumer_cycles(t_block * full_ext, accel, True)
+    fused = rep * (b_first + (n_blocks - 1) * max(b_rest, cons) + cons)
+    hidden = rep * (n_blocks - 1) * min(b_rest, cons)
+    penalty = rep * (b_first + (n_blocks - 1) * b_rest) / producer_nonfused
+    verdict = Verdict.FusionWins if fused < nonfused else Verdict.FusionLoses
+    return fused, nonfused, penalty, hidden, verdict, True
+
+
+REF_SPAD_KB = (32, 64, 128, 256, 512)
+REF_ACC_KB = (16, 32, 64, 128, 256, 512)
+REF_SEQ_LENS = (64, 128, 256, 384, 512, 768, 1024, 2048, 4096)
+
+
+@pytest.mark.parametrize("W", (8, 16, 32))
+def test_eval_pair_matches_reference_rule(W):
+    # the bound allows the last place to move (hwmodel scales the consumer by
+    # repeat after its max, the reference before); no cell uses it today
+    pairs = {(name, l): bert_pair(name, l) for name in PAIR_NAMES for l in REF_SEQ_LENS}
+    feasible = 0
+    for spad_kb in REF_SPAD_KB:
+        for acc_kb in REF_ACC_KB:
+            accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=spad_kb * 1024,
+                                      accumulator_bytes=acc_kb * 1024).check()
+            for key, pair in pairs.items():
+                r = eval_pair(pair, accel)
+                *want, verdict, ok = _ref_eval_pair(pair, accel)
+                cell = (key, spad_kb, acc_kb)
+                assert (r.verdict, r.feasible) == (verdict, ok), cell
+                got = (r.fused_latency, r.nonfused_latency, r.producer_penalty,
+                       r.hidden_cycles)
+                for g, w in zip(got, want):
+                    assert g == w or abs(g - w) <= 1e-15 * abs(w), cell
+                feasible += ok
+    assert 0 < feasible < len(REF_SPAD_KB) * len(REF_ACC_KB) * len(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tfperf.workload import (
     Elementwise,
@@ -39,6 +39,7 @@ from tfperf.hwmodel import (
     op_latency,
     square_tiles,
 )
+from tfperf.mapspace import Mapping, evaluate, matmul_nest
 
 
 def _op(name: str, cfg: ModelConfig) -> OperatorSpec:
@@ -452,3 +453,70 @@ def test_table_reports_are_read_only(accel):
     with pytest.raises(TypeError):
         del rep.traffic["spad"]
     assert dict(rep.traffic) == before
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the tile walk against the mapspace loop-nest kernel
+# ---------------------------------------------------------------------------
+# Where both models express the same schedule (extents that are multiples of
+# W, square tiles that divide them, DRAM loops m-n-k, W x W spatial), they
+# differ only by these named rules:
+# - residency: hwmodel loads an operand that fits its scratchpad half once;
+#   the kernel re-fetches in1 across n blocks when Fk > 1, and in2 across m
+#   blocks when Fk > 1 or Fn > 1;
+# - stationarity: when Fk == 1 the kernel keeps the in1 tile across n blocks,
+#   and hwmodel re-fetches it on each one unless in1 is resident;
+# - per-tile max: hwmodel sums max(compute, memory) over tiles, the kernel
+#   takes the max of the two totals;
+# - output drain: hwmodel charges drained outputs a scratchpad access as well.
+
+def _named_dram_gaps(M, K, N, plan, accel) -> tuple[int, int]:
+    """(residency, stationarity): DRAM bytes hwmodel saves, and adds, over the kernel."""
+    Fm, Fk, Fn = M // plan.tile_m, K // plan.tile_k, N // plan.tile_n
+    half = accel.scratchpad_bytes // 2
+    in1_resident, in2_resident = M * K <= half, K * N <= half
+    residency = 0
+    if in1_resident and Fk > 1:
+        residency += (Fn - 1) * M * K
+    if in2_resident and (Fk > 1 or Fn > 1):
+        residency += (Fm - 1) * K * N
+    stationarity = (Fn - 1) * M * K if not in1_resident and Fk == 1 else 0
+    return residency, stationarity
+
+
+@settings(max_examples=300, deadline=None)
+@given(W=st.sampled_from((8, 16)), m=st.integers(1, 8), k=st.integers(1, 8),
+       n=st.integers(1, 8), spad_kb=st.sampled_from((1, 2, 4, 8, 16)),
+       acc_kb=st.sampled_from((1, 4, 16)), bw=st.sampled_from((1.0, 3.0, 8.0)),
+       wide=st.booleans())
+@example(W=16, m=3, k=1, n=2, spad_kb=1, acc_kb=1, bw=3.0, wide=False)  # stationarity
+@example(W=8, m=1, k=4, n=4, spad_kb=1, acc_kb=1, bw=3.0, wide=False)  # in1 residency
+@example(W=8, m=3, k=3, n=2, spad_kb=1, acc_kb=1, bw=3.0, wide=True)  # in2 residency
+def test_tile_walk_differs_from_kernel_only_by_named_rules(W, m, k, n, spad_kb, acc_kb,
+                                                          bw, wide):
+    M, K, N = W * m, W * k, W * n
+    accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=spad_kb * 1024,
+                              accumulator_bytes=acc_kb * 1024, dram_bw=bw).check()
+    op = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(M, K, N), pre_nonlinear=wide)
+    try:
+        plan = square_tiles(op, accel)
+    except InfeasibleConfigError:
+        assume(False)
+    assume(M % plan.tile_m == 0 and K % plan.tile_k == 0 and N % plan.tile_n == 0)
+    out_b = 4 if wide else 1
+    hw = op_latency(op, accel)
+    mapping = Mapping(matmul_nest(M, K, N), (W, 1, W),
+                      (plan.tile_m, plan.tile_k, plan.tile_n), ("m", "n", "k"))
+    kernel = evaluate(mapping, mapping.nest, accel, precisions=(1, 1, out_b))
+
+    residency, stationarity = _named_dram_gaps(M, K, N, plan, accel)
+    gap = hw.traffic["dram"] - kernel.traffic["dram"]
+    assert gap == stationarity - residency
+    if gap == 0:
+        # equal compute and DRAM totals: a sum of per-tile maxima is at least
+        # the max of the sums (up to the rounding of the per-tile quotients)
+        assert hw.latency >= kernel.latency * (1 - 1e-12)
+    e = accel.energy
+    drain = M * N * out_b * e.scratchpad_access
+    want = drain + gap * (e.scratchpad_access + e.dram_access)
+    assert hw.energy - kernel.energy == pytest.approx(want, rel=1e-12, abs=1e-6)
