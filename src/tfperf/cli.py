@@ -128,7 +128,7 @@ def cmd_mapsearch(args):
 
 def cmd_fusion(args):
     accel = _load_accel(args.accel)
-    pairs = args.pair or list(PAIR_NAMES)
+    pairs = dict.fromkeys(args.pair or PAIR_NAMES)
     acc_kbs = args.acc_kb or [128, 256]
     seq_lens = args.seqlen or [512, 4096]
     cols = ["pair", "accumulator_kb", "seq_len", "fused_latency",
@@ -192,71 +192,98 @@ def emit(report: dict, columns: list, fmt: str, out: str | None) -> int:
     return len(data)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tfperf",
-                                     description="Accelerator performance toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, model=True, seqlen=True, accel=True, seed=False):
+    if model:
+        p.add_argument("--model", default="bert-base",
+                       help="model preset name or JSON config path")
+    if accel:
+        p.add_argument("--accel", default="gemmini-baseline",
+                       help="accelerator preset name or JSON config path")
+    if seqlen:
+        p.add_argument("--seqlen", type=int, default=512)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
-    def common(p, model=True, seqlen=True, accel=True, seed=False):
-        if model:
-            p.add_argument("--model", default="bert-base",
-                           help="model preset name or JSON config path")
-        if accel:
-            p.add_argument("--accel", default="gemmini-baseline",
-                           help="accelerator preset name or JSON config path")
-        if seqlen:
-            p.add_argument("--seqlen", type=int, default=512)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("analyze", help="FLOPs/MOPs/intensity per operator")
-    common(p, accel=False)
-    p.set_defaults(func=cmd_analyze)
+def _analyze_args(p):
+    _common(p, accel=False)
 
-    p = sub.add_parser("latency", help="latency and energy per operator")
-    common(p)
-    p.set_defaults(func=cmd_latency)
 
-    p = sub.add_parser("nonideal-ai", help="ideal vs modeled arithmetic intensity")
-    common(p)
-    p.set_defaults(func=cmd_nonideal_ai)
-
-    p = sub.add_parser("memsweep", help="scratchpad/accumulator split sweep")
-    common(p)
+def _memsweep_args(p):
+    _common(p)
     p.add_argument("--total-kb", type=int, default=320)
-    p.set_defaults(func=cmd_memsweep)
 
-    p = sub.add_parser("mapsearch", help="random mapspace sampling statistics")
-    common(p, model=False, seqlen=False, seed=True)
+
+def _mapsearch_args(p):
+    _common(p, model=False, seqlen=False, seed=True)
     p.add_argument("--op", default="bert.mha",
                    help=f"named nest: one of {sorted(mapspace.NAMED_NESTS)}")
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=cmd_mapsearch)
 
-    p = sub.add_parser("fusion", help="fused vs non-fused scheduling sweep")
-    common(p, model=False, seqlen=False)
+
+def _fusion_args(p):
+    _common(p, model=False, seqlen=False)
     p.add_argument("--pair", action="append", choices=PAIR_NAMES)
     p.add_argument("--acc-kb", action="append", type=int)
     p.add_argument("--seqlen", action="append", type=int)
-    p.set_defaults(func=cmd_fusion)
 
-    p = sub.add_parser("search", help="evolutionary architecture search")
-    common(p, model=False, seqlen=False, seed=True)
+
+def _search_args(p):
+    _common(p, model=False, seqlen=False, seed=True)
     p.add_argument("--space", default=None, help="search space JSON path")
     p.add_argument("--pop", type=int, default=40)
     p.add_argument("--rounds", type=int, default=40)
     p.add_argument("--mutation", type=float, default=0.2)
-    p.set_defaults(func=cmd_search)
 
+
+# subcommand -> (help, function adding its arguments, handler)
+COMMANDS = {
+    "analyze": ("FLOPs/MOPs/intensity per operator", _analyze_args, cmd_analyze),
+    "latency": ("latency and energy per operator", _common, cmd_latency),
+    "nonideal-ai": ("ideal vs modeled arithmetic intensity", _common, cmd_nonideal_ai),
+    "memsweep": ("scratchpad/accumulator split sweep", _memsweep_args, cmd_memsweep),
+    "mapsearch": ("random mapspace sampling statistics", _mapsearch_args, cmd_mapsearch),
+    "fusion": ("fused vs non-fused scheduling sweep", _fusion_args, cmd_fusion),
+    "search": ("evolutionary architecture search", _search_args, cmd_search),
+}
+
+
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    _, add_args, handler = COMMANDS[command]
+    add_args(parser)
+    parser.set_defaults(func=handler)
     return parser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full `tfperf` parser, or with `command` that subcommand's parser
+    alone, built as the full parser builds its subparser."""
+    if command is not None:
+        return _command_parser(argparse.ArgumentParser(prog=f"tfperf {command}"), command)
+    parser = argparse.ArgumentParser(prog="tfperf",
+                                     description="Accelerator performance toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone; anything else (no
+    subcommand, `-h`, an unknown command, arguments left over) goes through
+    the full parser, which owns those messages."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         rows, columns, extra = args.func(args)
     except (ConfigError, InfeasibleConfigError, ValueError) as exc:

@@ -24,7 +24,8 @@ from enum import Enum
 from .hwmodel import (_ACCUM_BYTES, _STANDALONE_PASSES, AcceleratorConfig, TilingPlan,
                       _tile_grid, greedy_tiles, op_latency)
 from .mapspace import _divisors
-from .workload import Elementwise, Matmul, ModelConfig, OperatorSpec, encoder_ops, model_preset
+from .workload import (ConfigError, Elementwise, Matmul, Mode, ModelConfig, OperatorSpec,
+                       layer_ops_encoder, model_preset)
 
 PAIR_NAMES = ("qk-softmax", "wout-ln", "ffn2-ln")
 
@@ -76,9 +77,12 @@ class FusionReport:
 
 def bert_pair(name: str, seq_len: int = 512,
               cfg: ModelConfig | None = None) -> FusionPair:
+    """The named producer/consumer pair of an encoder's first layer."""
     if cfg is None:
         cfg = model_preset("bert-base", seq_len=seq_len)
-    ops = {op.name: op for op in encoder_ops(cfg)[:12]}
+    if cfg.check().mode is not Mode.Encoder:
+        raise ConfigError("bert_pair requires an Encoder-mode config")
+    ops = {op.name: op for op in layer_ops_encoder(cfg, 0)}
     if name == "qk-softmax":
         return FusionPair(ops["L0.qk"], ops["L0.softmax"], "n").check()
     if name == "wout-ln":
@@ -168,14 +172,13 @@ def eval_pair(pair: FusionPair, accel: AcceleratorConfig,
 
 def fusion_sweep(pair_name: str, accel: AcceleratorConfig,
                  accum_kbs: list[int], seq_lens: list[int]) -> dict:
-    """FusionReport per (accumulator_kb, seq_len) cell; infeasible cells kept."""
+    """FusionReport per (accumulator_kb, seq_len) cell; infeasible cells kept.
+
+    The pair depends on the sequence length only, so each is built once."""
     if not accum_kbs or not seq_lens:
         raise ValueError("accum_kbs and seq_lens must be nonempty")
     from dataclasses import replace
-    grid = {}
-    for kb in accum_kbs:
-        cell_accel = replace(accel, accumulator_bytes=kb * 1024).check()
-        for l in seq_lens:
-            pair = bert_pair(pair_name, seq_len=l)
-            grid[(kb, l)] = eval_pair(pair, cell_accel)
-    return grid
+    accels = {kb: replace(accel, accumulator_bytes=kb * 1024).check() for kb in accum_kbs}
+    pairs = {l: bert_pair(pair_name, seq_len=l) for l in seq_lens}
+    return {(kb, l): eval_pair(pair, cell_accel)
+            for kb, cell_accel in accels.items() for l, pair in pairs.items()}

@@ -465,7 +465,11 @@ def model_costs(cfg: ModelConfig, accel: AcceleratorConfig):
     Identical layers repeat their operators, so each distinct operator is
     costed once, through a table made for this call; repeats share its report.
     """
-    ops = model_ops(cfg)
+    return _ops_costs(model_ops(cfg), accel)
+
+
+def _ops_costs(ops: Sequence[OperatorSpec], accel: AcceleratorConfig):
+    """`model_costs` of an op list built already."""
     table = OpCostTable()
     return [(op, table.cost(op, accel, wide_inputs=wide))
             for op, wide in zip(ops, _wide_flags(ops))]
@@ -507,7 +511,11 @@ def nonlinear_latency_share(cfg: ModelConfig, accel: AcceleratorConfig) -> float
 
 def matmul_latency(cfg: ModelConfig, accel: AcceleratorConfig) -> float:
     """Total cycles spent in matmul-class operators (projections + act-to-act)."""
-    return sum(rep.latency for op, rep in model_costs(cfg, accel)
+    return _matmul_total(model_costs(cfg, accel))
+
+
+def _matmul_total(costs: Sequence[tuple[OperatorSpec, CostReport]]) -> float:
+    return sum(rep.latency for op, rep in costs
                if isinstance(op.kind, (Matmul, Conv, MatvecSeries)))
 
 
@@ -521,6 +529,7 @@ def memory_split_sweep(cfg: ModelConfig, total_kb: int,
     """
     if splits is None:
         splits = [(k, total_kb - k) for k in range(16, total_kb, 16)]
+    ops = model_ops(cfg)  # the op list is the same at every split; each costs afresh
     rows = []
     for spad_kb, acc_kb in splits:
         if spad_kb + acc_kb != total_kb:
@@ -531,7 +540,7 @@ def memory_split_sweep(cfg: ModelConfig, total_kb: int,
                                   accumulator_bytes=acc_kb * 1024,
                                   dram_bw=dram_bw).check()
         try:
-            lat = matmul_latency(cfg, accel)
+            lat = _matmul_total(_ops_costs(ops, accel))
             rows.append({"split": (spad_kb, acc_kb), "latency": lat, "feasible": True})
         except InfeasibleConfigError:
             rows.append({"split": (spad_kb, acc_kb), "latency": math.inf, "feasible": False})

@@ -1,14 +1,18 @@
 """CLI: argument handling, exit codes, CSV/JSON emission, determinism."""
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from tfperf import hwmodel, mapspace
-from tfperf.cli import build_parser, main
+from tfperf import cli, hwmodel, mapspace
+from tfperf.cli import COMMANDS, build_parser, main
 from tfperf.hwmodel import _shape_key, _wide_flags, accel_preset
 from tfperf.workload import model_ops, model_preset, resnet50_ops
 
@@ -177,6 +181,16 @@ def test_fusion_single_cell(capsys):
     assert len(rows) == 1
     assert float(rows[0]["fused_latency"]) == 1187840.0
     assert rows[0]["feasible"] == "True"
+
+
+def test_fusion_repeated_pair_collapses(capsys):
+    _, once, _ = run(capsys, "fusion", "--pair", "ffn2-ln", "--pair", "qk-softmax",
+                     "--acc-kb", "128", "--seqlen", "512")
+    _, repeated, _ = run(capsys, "fusion", "--pair", "ffn2-ln", "--pair", "qk-softmax",
+                         "--pair", "ffn2-ln", "--acc-kb", "128", "--acc-kb", "128",
+                         "--seqlen", "512", "--seqlen", "512")
+    assert repeated == once
+    assert [r["pair"] for r in rows_of(repeated)] == ["ffn2-ln", "qk-softmax"]
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +412,82 @@ def test_csv_bytes_match_dictwriter(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == oracle.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing: one subcommand's parser, the full parser as oracle
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of `main(argv)`, argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def full_parser_outcome(capsys, monkeypatch, argv) -> tuple:
+    """What `main(argv)` gives when the full parser parses every argv."""
+    monkeypatch.setattr(cli, "_parse_args", lambda a: build_parser().parse_args(a))
+    return outcome(capsys, argv)
+
+
+def parity_argvs():
+    yield from ([], ["-h"], ["bogus"])
+    for command in COMMANDS:
+        int_option = {"mapsearch": "--samples", "search": "--pop"}.get(command, "--seqlen")
+        foreign = ("--seqlen" if command in ("mapsearch", "search") else "--samples", "1")
+        yield [command, "-h"]
+        yield [command, "--bogus"]
+        yield [command, "--format", "xml"]
+        yield [command, int_option, "x"]
+        yield [command, *foreign]
+        yield [command, "--for", "json"]
+
+
+@pytest.mark.parametrize("argv", list(parity_argvs()), ids=lambda a: "-".join(a) or "no-args")
+def test_parsing_matches_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = outcome(capsys, argv)
+    assert got == full_parser_outcome(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--seqlen", "128", "--format", "json"),  # the subcommand's parser alone
+    ("bogus",),                                          # no subcommand: the full parser
+    ("analyze", "--bogus"),                              # arguments left: the full parser
+], ids=["subcommand", "not-a-subcommand", "arguments-left"])
+def test_python_m_tfperf_matches_full_parser(capsys, monkeypatch, argv):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "tfperf", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        full_parser_outcome(capsys, monkeypatch, argv)
+
+
+def test_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["latency", "--seqlen", "128"]) == 0
+    assert progs == ["tfperf latency"]
+    progs.clear()
+    with pytest.raises(SystemExit):  # an unrecognized argument is reported by the full parser
+        main(["latency", "--bogus"])
+    assert progs == ["tfperf latency", "tfperf", *(f"tfperf {c}" for c in COMMANDS)]
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from tfperf.workload import Matmul, MatvecSeries, OperatorClass, OperatorSpec, model_preset
+from tfperf import fusion, workload
+from tfperf.workload import (ConfigError, Matmul, MatvecSeries, OperatorClass, OperatorSpec,
+                             encoder_ops, model_preset)
 from tfperf.hwmodel import (AcceleratorConfig, accel_preset, greedy_tiles, model_costs,
                             op_latency)
 from tfperf.mapspace import Mapping, matmul_nest, validate
@@ -45,6 +47,21 @@ def test_bert_pairs():
     assert ffn2.consumer.name == "L0.add_ln2"
     with pytest.raises(ValueError):
         bert_pair("nope")
+
+
+def test_bert_pair_is_the_first_layer_of_the_whole_encoder():
+    cfg = model_preset("bert-base", seq_len=256)
+    ops = {op.name: op for op in encoder_ops(cfg)}
+    for name, (producer, consumer) in zip(PAIR_NAMES, [("qk", "softmax"), ("wout", "add_ln1"),
+                                                       ("w2", "add_ln2")]):
+        pair = bert_pair(name, cfg=cfg)
+        assert pair.producer == ops[f"L0.{producer}"]
+        assert pair.consumer == ops[f"L0.{consumer}"]
+
+
+def test_bert_pair_rejects_a_decoder():
+    with pytest.raises(ConfigError, match="Encoder"):
+        bert_pair("qk-softmax", cfg=model_preset("gpt2", seq_len=128))
 
 
 def test_pair_check_errors():
@@ -322,6 +339,20 @@ def test_fusion_sweep_grid():
         want = eval_pair(bert_pair("qk-softmax", l), _accel(kb))
         assert rep.fused_latency == want.fused_latency, (kb, l)
         assert rep.verdict is want.verdict
+
+
+def test_fusion_sweep_builds_one_pair_per_seq_len(monkeypatch):
+    layers = []
+
+    def counted(cfg, layer, *args, **kwargs):
+        layers.append((cfg.seq_len, layer))
+        return workload.layer_ops_encoder(cfg, layer, *args, **kwargs)
+
+    monkeypatch.setattr(fusion, "layer_ops_encoder", counted)
+    grid = fusion_sweep("wout-ln", accel_preset("gemmini-baseline"),
+                        [64, 128, 256, 512], [128, 512, 1024])
+    assert len(grid) == 12
+    assert layers == [(128, 0), (512, 0), (1024, 0)]
 
 
 def test_fusion_sweep_empty_axes_raise():

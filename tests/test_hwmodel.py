@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from tfperf import hwmodel
 from tfperf.workload import (
     Elementwise,
     Matmul,
@@ -31,6 +32,7 @@ from tfperf.hwmodel import (
     greedy_tiles,
     latency_breakdown,
     matmul_dims,
+    matmul_latency,
     memory_split_sweep,
     model_costs,
     model_nonideal_intensity,
@@ -264,6 +266,24 @@ def test_memory_split_sweep(bert512):
     assert margin >= 0.2
     with pytest.raises(InfeasibleConfigError):
         memory_split_sweep(bert512, 320, splits=[(100, 100)])
+
+
+def test_memory_split_sweep_builds_the_op_list_once(monkeypatch, bert512):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return model_ops(cfg)
+
+    monkeypatch.setattr(hwmodel, "model_ops", counted)
+    rows, _ = memory_split_sweep(bert512, 160)
+    assert calls == [bert512]
+    monkeypatch.undo()
+    for r in rows:  # each split still costs as a whole-model call does
+        spad_kb, acc_kb = r["split"]
+        accel = AcceleratorConfig(scratchpad_bytes=spad_kb * 1024,
+                                  accumulator_bytes=acc_kb * 1024).check()
+        assert r["latency"] == matmul_latency(bert512, accel)
 
 
 def test_latency_breakdown_categories_follow_mode(accel):
