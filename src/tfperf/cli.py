@@ -25,11 +25,12 @@ from .workload import (ConfigError, Mode, category_of, flops, intensity,
 SCHEMA_VERSION = "1"
 
 
-def _load_model(name: str, seq_len: int):
+def _load_model(name: str, seq_len: int | None):
+    """A preset or JSON model file; with no seq_len, the file's (else 512)."""
     if name.endswith(".json") or os.path.sep in name:
         with open(name, encoding="utf-8") as f:
             return model_from_json(f.read(), seq_len=seq_len)
-    return model_preset(name, seq_len=seq_len)
+    return model_preset(name) if seq_len is None else model_preset(name, seq_len)
 
 
 def _load_accel(name: str):
@@ -40,7 +41,8 @@ def _load_accel(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (rows, columns, extra-report-keys)
+# Command handlers: each returns (rows, columns, extra tables), every row a
+# tuple in column order and each extra table a (rows, columns) pair
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args):
@@ -50,10 +52,8 @@ def cmd_analyze(args):
     rows = []
     for op in model_ops(cfg):
         f, m = flops(op), mops(op)
-        rows.append({"name": op.name, "op_class": op.op_class.value,
-                     "category": category_of(op, cnn=cnn),
-                     "flops": f, "mops": m,
-                     "arithmetic_intensity": intensity(f, m)})
+        rows.append((op.name, op.op_class.value, category_of(op, cnn=cnn), f, m,
+                     intensity(f, m)))
     return rows, cols, {}
 
 
@@ -64,13 +64,10 @@ def cmd_latency(args):
     rows = []
     lat = energy = 0.0
     for op, rep in model_costs(cfg, accel):
-        rows.append({"name": op.name, "op_class": op.op_class.value,
-                     "latency_cycles": rep.latency, "energy_pj": rep.energy,
-                     "compute_bound": rep.compute_bound})
+        rows.append((op.name, op.op_class.value, rep.latency, rep.energy, rep.compute_bound))
         lat += rep.latency
         energy += rep.energy
-    rows.append({"name": "total", "op_class": "", "latency_cycles": lat,
-                 "energy_pj": energy, "compute_bound": ""})
+    rows.append(("total", "", lat, energy, ""))
     return rows, cols, {}
 
 
@@ -82,10 +79,8 @@ def cmd_nonideal_ai(args):
     rows = []
     for op, rep in costs:
         f, m = flops(op), mops(op)
-        rows.append({"name": op.name, "flops": f, "ideal_ai": intensity(f, m),
-                     "nonideal_ai": report_intensity(op, rep)})
-    rows.append({"name": "model", "flops": sum(flops(op) for op, _ in costs),
-                 "ideal_ai": "", "nonideal_ai": costs_intensity(costs)})
+        rows.append((op.name, f, intensity(f, m), report_intensity(op, rep)))
+    rows.append(("model", sum(flops(op) for op, _ in costs), "", costs_intensity(costs)))
     return rows, cols, {}
 
 
@@ -96,9 +91,7 @@ def cmd_memsweep(args):
                                           pe_width=accel.pe_width,
                                           dram_bw=accel.dram_bw)
     cols = ["scratchpad_kb", "accumulator_kb", "latency_cycles", "feasible", "best"]
-    rows = [{"scratchpad_kb": r["split"][0], "accumulator_kb": r["split"][1],
-             "latency_cycles": r["latency"], "feasible": r["feasible"],
-             "best": r is best} for r in sweep_rows]
+    rows = [(*r["split"], r["latency"], r["feasible"], r is best) for r in sweep_rows]
     return rows, cols, {}
 
 
@@ -113,16 +106,12 @@ def cmd_mapsearch(args):
     if args.format == "json":
         stats = mapspace.stats_from_costs(lat, en)
         cols = ["n_samples", "min_edp", "p10", "spread", "frac_within_3x"]
-        rows = [{"n_samples": stats.n_samples, "min_edp": stats.min_edp,
-                 "p10": stats.p10, "spread": stats.spread,
-                 "frac_within_3x": stats.frac_within(3.0)}]
+        rows = [(stats.n_samples, stats.min_edp, stats.p10, stats.spread, stats.frac_within(3.0))]
         return rows, cols, {}
     edp = lat * en
     rel = edp / edp.min()
     cols = ["sample_idx", "latency", "energy", "edp", "relative_edp"]
-    rows = [{"sample_idx": i, "latency": float(lat[i]), "energy": float(en[i]),
-             "edp": float(edp[i]), "relative_edp": float(rel[i])}
-            for i in range(len(lat))]
+    rows = list(zip(range(len(lat)), lat.tolist(), en.tolist(), edp.tolist(), rel.tolist()))
     return rows, cols, {}
 
 
@@ -137,15 +126,13 @@ def cmd_fusion(args):
     rows = []
     for name in pairs:
         grid = fusion_sweep(name, accel, acc_kbs, seq_lens)
-        for (kb, l), r in sorted(grid.items()):
-            rows.append({"pair": name, "accumulator_kb": kb, "seq_len": l,
-                         "fused_latency": r.fused_latency,
-                         "nonfused_latency": r.nonfused_latency,
-                         "producer_penalty": r.producer_penalty,
-                         "hidden_cycles": r.hidden_cycles,
-                         "verdict": r.verdict.value, "feasible": r.feasible,
-                         "reason": r.reason})
+        rows.extend((name, kb, l, r.fused_latency, r.nonfused_latency, r.producer_penalty,
+                     r.hidden_cycles, r.verdict.value, r.feasible, r.reason)
+                    for (kb, l), r in sorted(grid.items()))
     return rows, cols, {}
+
+
+TRACE_COLUMNS = ["round", "best_edp", "front_size"]
 
 
 def cmd_search(args):
@@ -159,29 +146,32 @@ def cmd_search(args):
                    p=args.mutation, seed=args.seed, cache=CostCache())
     if args.format == "json":
         cols = ["N", "d", "h", "d_FFN", "quality", "edp"]
-        rows = [{"N": c.N, "d": c.d, "h": list(c.h), "d_FFN": list(c.d_FFN),
-                 "quality": c.quality, "edp": c.edp} for c in front.points]
-        extra = {"trace": [{"round": r, "best_edp": e, "front_size": s}
-                           for r, e, s in front.trace]}
-        return rows, cols, extra
-    cols = ["round", "best_edp", "front_size"]
-    rows = [{"round": r, "best_edp": e, "front_size": s} for r, e, s in front.trace]
-    return rows, cols, {}
+        rows = [(c.N, c.d, c.h, c.d_FFN, c.quality, c.edp) for c in front.points]
+        return rows, cols, {"trace": (front.trace, TRACE_COLUMNS)}
+    return front.trace, TRACE_COLUMNS, {}
 
 
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
 
-def emit(report: dict, columns: list, fmt: str, out: str | None) -> int:
-    """Serialize the report; returns bytes written."""
+def emit(header: dict, tables: dict, fmt: str, out: str | None) -> int:
+    """Serialize a report; returns bytes written.
+
+    Each table is a (rows, columns) pair, every row a tuple in column order.
+    JSON writes the header keys and then each table as a list of objects;
+    CSV writes the "rows" table alone.
+    """
     if fmt == "json":
+        report = {**header, **{key: [dict(zip(columns, row, strict=True)) for row in rows]
+                               for key, (rows, columns) in tables.items()}}
         text = json.dumps(report, indent=2) + "\n"
     else:
+        rows, columns = tables["rows"]
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(columns)
-        w.writerows([r.get(c, "") for c in columns] for r in report["rows"])
+        w.writerows(rows)
         text = buf.getvalue()
     data = text.encode("utf-8")
     if out:
@@ -200,7 +190,8 @@ def _common(p, model=True, seqlen=True, accel=True, seed=False):
         p.add_argument("--accel", default="gemmini-baseline",
                        help="accelerator preset name or JSON config path")
     if seqlen:
-        p.add_argument("--seqlen", type=int, default=512)
+        p.add_argument("--seqlen", type=int, default=None,
+                       help="sequence length (default: the model file's, else 512)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     if seed:
@@ -292,10 +283,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    report = {"schema_version": SCHEMA_VERSION,
-              "generated_by": "tfperf " + " ".join(argv), **extra, "rows": rows}
+    header = {"schema_version": SCHEMA_VERSION, "generated_by": "tfperf " + " ".join(argv)}
     try:
-        emit(report, columns, args.format, args.out)
+        emit(header, {**extra, "rows": (rows, columns)}, args.format, args.out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

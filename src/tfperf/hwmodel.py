@@ -176,6 +176,7 @@ _ACCUM_BYTES = 4
 
 
 def _pad(x: int, w: int) -> int:
+    """x rounded up to a multiple of w (elementwise on integer arrays too)."""
     return ((x + w - 1) // w) * w
 
 
@@ -188,56 +189,47 @@ def _out_bytes(op: OperatorSpec, wide_output: bool) -> int:
     return _ACCUM_BYTES if wide_output else op.out_precision
 
 
-def _tile_fits(tm: int, tk: int, tn: int, accel: AcceleratorConfig,
-               in1_b: int, in2_b: int, out_b: int) -> bool:
-    half = accel.scratchpad_bytes // 2
-    return (tm * tk * in1_b <= half and tk * tn * in2_b <= half
-            and tm * tn * out_b <= accel.accumulator_bytes // 2)
+def _grow_tiles(op: OperatorSpec, accel: AcceleratorConfig, wide_output: bool | None,
+                groups: tuple[tuple[int, ...], ...]) -> TilingPlan:
+    """Start from a WxWxW tile and, for each group of axes (0 m, 1 k, 2 n) in
+    turn, grow every axis of the group by W, each capped at its extent padded
+    to W, while the tile still grows and still fits."""
+    if wide_output is None:
+        wide_output = op.pre_nonlinear
+    W = accel.pe_width
+    in1_b, in2_b = _in_bytes(op)
+    out_b = _out_bytes(op, wide_output)
+    half, acc_half = accel.scratchpad_bytes // 2, accel.accumulator_bytes // 2
+    caps = tuple(_pad(x, W) for x in matmul_dims(op))
+
+    def fits(tile: tuple[int, int, int]) -> bool:
+        tm, tk, tn = tile
+        return tm * tk * in1_b <= half and tk * tn * in2_b <= half and tm * tn * out_b <= acc_half
+
+    tile = tuple(min(W, cap) for cap in caps)
+    if not fits(tile):
+        raise InfeasibleConfigError(
+            f"no {W}x{W} tile fits scratchpad/accumulator for {op.name}")
+    for axes in groups:
+        while True:
+            nxt = tuple(min(t + W, cap) if i in axes else t
+                        for i, (t, cap) in enumerate(zip(tile, caps)))
+            if nxt == tile or not fits(nxt):
+                break
+            tile = nxt
+    return TilingPlan(*tile, wide_output=wide_output)
 
 
 def square_tiles(op: OperatorSpec, accel: AcceleratorConfig,
                  wide_output: bool | None = None) -> TilingPlan:
-    if wide_output is None:
-        wide_output = op.pre_nonlinear
-    M, K, N = matmul_dims(op)
-    W = accel.pe_width
-    in1_b, in2_b = _in_bytes(op)
-    out_b = _out_bytes(op, wide_output)
-
-    def clamped(t: int) -> tuple[int, int, int]:
-        return min(t, _pad(M, W)), min(t, _pad(K, W)), min(t, _pad(N, W))
-
-    if not _tile_fits(*clamped(W), accel, in1_b, in2_b, out_b):
-        raise InfeasibleConfigError(
-            f"no {W}x{W} tile fits scratchpad/accumulator for {op.name}")
-    t = W
-    while True:
-        cand = clamped(t + W)
-        if cand == clamped(t) or not _tile_fits(*cand, accel, in1_b, in2_b, out_b):
-            break
-        t += W
-    tm, tk, tn = clamped(t)
-    return TilingPlan(tm, tk, tn, wide_output=wide_output)
+    """The largest square tile, grown on all three axes together."""
+    return _grow_tiles(op, accel, wide_output, ((0, 1, 2),))
 
 
 def greedy_tiles(op: OperatorSpec, accel: AcceleratorConfig,
                  wide_output: bool | None = None) -> TilingPlan:
     """Gemmini-style heuristic: square tiles, then greedily extend K, M, N."""
-    plan = square_tiles(op, accel, wide_output)
-    M, K, N = matmul_dims(op)
-    W = accel.pe_width
-    in1_b, in2_b = _in_bytes(op)
-    out_b = _out_bytes(op, plan.wide_output)
-    tm, tk, tn = plan.tile_m, plan.tile_k, plan.tile_n
-    caps = (_pad(M, W), _pad(K, W), _pad(N, W))
-    for dim in (1, 0, 2):  # K first, then M, then N
-        while True:
-            nxt = [tm, tk, tn]
-            nxt[dim] = min(nxt[dim] + W, caps[dim])
-            if tuple(nxt) == (tm, tk, tn) or not _tile_fits(*nxt, accel, in1_b, in2_b, out_b):
-                break
-            tm, tk, tn = nxt
-    return TilingPlan(tm, tk, tn, wide_output=plan.wide_output)
+    return _grow_tiles(op, accel, wide_output, ((0, 1, 2), (1,), (0,), (2,)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _kernels
-from .hwmodel import AcceleratorConfig, CostReport, InfeasibleConfigError
+from .hwmodel import AcceleratorConfig, CostReport, InfeasibleConfigError, _pad
 from .workload import Conv, Matmul, OperatorSpec
 
 MATMUL_DIMS = ("m", "k", "n")
@@ -98,10 +98,6 @@ class Mapping:
 
     def encode(self) -> tuple:
         return (self.spatial, self.tiles, self.dram_perm)
-
-
-def _pad(x: int, w: int) -> int:
-    return ((x + w - 1) // w) * w
 
 
 @lru_cache(maxsize=None)
@@ -204,9 +200,7 @@ class _Batch:
         self.perm_idx = np.zeros(n, dtype=np.int64)
 
     def padded(self) -> np.ndarray:
-        ext = np.array(self.nest.extents, dtype=np.int64)[:, None]
-        s = self.spatial
-        return ((ext + s - 1) // s) * s
+        return _pad(np.array(self.nest.extents, dtype=np.int64)[:, None], self.spatial)
 
     def positions(self) -> np.ndarray:
         return _perm_table(len(self.nest.names))[self.perm_idx].T.copy()

@@ -355,6 +355,30 @@ def test_config_file_ingestion(tmp_path, capsys):
     assert len(rows_of(out)) == 2 * 12 + 1
 
 
+def test_analyze_uses_model_file_seq_len_unless_flag_given(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"layers": 1, "d": 64, "heads": 4, "d_ffn": 256,
+                                 "mode": "encoder", "seq_len": 64}))
+    for flag, seq_len in (((), 64), (("--seqlen", "512"), 512)):
+        _, out, _ = run(capsys, "analyze", "--model", str(model), *flag)
+        wq = next(r for r in rows_of(out) if r["name"] == "L0.wq")
+        assert int(wq["flops"]) == 2 * 64 * 64 * seq_len
+
+
+@pytest.mark.parametrize("command", ["analyze", "latency", "nonideal-ai", "memsweep"])
+def test_seqlen_flag_wins_over_model_file(tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"layers": 1, "d": 128, "heads": 4, "d_ffn": 256,
+                                 "mode": "decoder", "seq_len": 96}))
+    outs = {flag: run(capsys, command, "--model", str(model), *flag)
+            for flag in ((), ("--seqlen", "96"), ("--seqlen", "512"))}
+    assert all(code == 0 for code, _, _ in outs.values())
+    assert outs[()] == outs[("--seqlen", "96")]
+    assert outs[()] != outs[("--seqlen", "512")]
+    # a preset has no seq_len of its own: 512
+    assert run(capsys, command) == run(capsys, command, "--seqlen", "512")
+
+
 def test_space_file_ingestion(tmp_path, capsys):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"layer_counts": [3], "model_dims": [384],
@@ -392,7 +416,7 @@ def test_csv_has_no_metadata_lines(capsys):
     assert first == "scratchpad_kb,accumulator_kb,latency_cycles,feasible,best"
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_COMMAND_ARGVS = [
     ("analyze", "--seqlen", "128"),
     ("analyze", "--model", "resnet50"),
     ("latency", "--seqlen", "256"),
@@ -401,17 +425,32 @@ def test_csv_has_no_metadata_lines(capsys):
     ("mapsearch", "--op", "bert.qk", "--samples", "300", "--seed", "4"),
     ("fusion", "--acc-kb", "64", "--seqlen", "512"),
     ("search", "--pop", "6", "--rounds", "3", "--seed", "1"),
-], ids=lambda a: "-".join(a[:3]))
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND_ARGVS, ids=lambda a: "-".join(a[:3]))
 def test_csv_bytes_match_dictwriter(capsys, argv):
     args = build_parser().parse_args(list(argv))
     rows, columns, _ = args.func(args)
     oracle = io.StringIO()
     w = csv.DictWriter(oracle, fieldnames=columns, lineterminator="\n")
     w.writeheader()
-    w.writerows(rows)
+    w.writerows(dict(zip(columns, row)) for row in rows)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == oracle.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND_ARGVS, ids=lambda a: "-".join(a[:3]))
+def test_every_row_has_one_value_per_column(argv, fmt):
+    args = build_parser().parse_args([*argv, "--format", fmt])
+    rows, columns, extra = args.func(args)
+    tables = [(rows, columns), *extra.values()]
+    for table_rows, table_columns in tables:
+        assert table_rows
+        assert all(type(row) is tuple for row in table_rows)
+        assert {len(row) for row in table_rows} == {len(table_columns)}
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +548,17 @@ def golden_argvs(command: str, model: str):
                        "--seqlen", str(seq_len), "--format", fmt]
 
 
-def golden_digests(capsys, command: str, model: str) -> dict:
+def digests(capsys, argvs) -> dict:
     """sha256 of stdout per argv; the working directory must hold decoder3.json."""
     out = {}
-    for argv in golden_argvs(command, model):
+    for argv in argvs:
         assert main(argv) == 0, argv
         out[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     return out
+
+
+def golden_digests(capsys, command: str, model: str) -> dict:
+    return digests(capsys, golden_argvs(command, model))
 
 
 @pytest.mark.parametrize("model", GOLDEN_MODELS)
@@ -527,4 +570,31 @@ def test_costing_commands_match_goldens(tmp_path, monkeypatch, capsys, command, 
     (tmp_path / "decoder3.json").write_text(json.dumps(DECODER3))
     want = json.loads(GOLDENS.read_text())
     got = golden_digests(capsys, command, model)
+    assert got == {k: want[k] for k in got}
+
+
+# the four commands not pinned above: every column of each, in
+# both formats, pinned so that a value written under the wrong column shows
+FORMATS = ("csv", "json")
+ACCELS = ("gemmini-baseline", "gemmini-tuned")
+FUSION_GRIDS = ((), ("--acc-kb", "16", "--acc-kb", "512", "--seqlen", "64", "--seqlen", "8192"))
+OTHER_GOLDEN_ARGVS = {
+    "analyze": [["analyze", "--model", model, "--seqlen", seq_len, "--format", fmt]
+                for model in GOLDEN_MODELS for seq_len in ("128", "2048") for fmt in FORMATS],
+    "mapsearch": [["mapsearch", "--op", op, "--accel", accel, "--samples", "500",
+                   "--seed", "3", "--format", fmt]
+                  for op in sorted(mapspace.NAMED_NESTS) for accel in ACCELS for fmt in FORMATS],
+    "fusion": [["fusion", "--accel", accel, *grid, "--format", fmt]
+               for accel in ACCELS for grid in FUSION_GRIDS for fmt in FORMATS],
+    "search": [["search", "--accel", accel, "--pop", "8", "--rounds", "4", "--seed", "2",
+                "--format", fmt] for accel in ACCELS for fmt in FORMATS],
+}
+
+
+@pytest.mark.parametrize("command", OTHER_GOLDEN_ARGVS)
+def test_other_commands_match_goldens(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "decoder3.json").write_text(json.dumps(DECODER3))
+    want = json.loads(GOLDENS.read_text())
+    got = digests(capsys, OTHER_GOLDEN_ARGVS[command])
     assert got == {k: want[k] for k in got}

@@ -88,6 +88,87 @@ def test_square_tiles_infeasible_spad():
         square_tiles(op, tiny)
 
 
+def _pad(x: int, w: int) -> int:
+    return ((x + w - 1) // w) * w
+
+
+def _reference_fits(tm, tk, tn, accel, in1_b, in2_b, out_b):
+    half = accel.scratchpad_bytes // 2
+    return (tm * tk * in1_b <= half and tk * tn * in2_b <= half
+            and tm * tn * out_b <= accel.accumulator_bytes // 2)
+
+
+def _reference_square_tiles(op, accel, wide_output=None):
+    """The square walk as two loops were written before one walk served both."""
+    if wide_output is None:
+        wide_output = op.pre_nonlinear
+    M, K, N = matmul_dims(op)
+    W = accel.pe_width
+    p = op.in_precisions
+    in1_b, in2_b = (p[0], p[1]) if len(p) > 1 else (p[0], p[0])
+    out_b = 4 if wide_output else op.out_precision
+
+    def clamped(t):
+        return min(t, _pad(M, W)), min(t, _pad(K, W)), min(t, _pad(N, W))
+
+    if not _reference_fits(*clamped(W), accel, in1_b, in2_b, out_b):
+        raise InfeasibleConfigError(
+            f"no {W}x{W} tile fits scratchpad/accumulator for {op.name}")
+    t = W
+    while True:
+        cand = clamped(t + W)
+        if cand == clamped(t) or not _reference_fits(*cand, accel, in1_b, in2_b, out_b):
+            break
+        t += W
+    return TilingPlan(*clamped(t), wide_output=wide_output)
+
+
+def _reference_greedy_tiles(op, accel, wide_output=None):
+    plan = _reference_square_tiles(op, accel, wide_output)
+    M, K, N = matmul_dims(op)
+    W = accel.pe_width
+    p = op.in_precisions
+    in1_b, in2_b = (p[0], p[1]) if len(p) > 1 else (p[0], p[0])
+    out_b = 4 if plan.wide_output else op.out_precision
+    tm, tk, tn = plan.tile_m, plan.tile_k, plan.tile_n
+    caps = (_pad(M, W), _pad(K, W), _pad(N, W))
+    for dim in (1, 0, 2):
+        while True:
+            nxt = [tm, tk, tn]
+            nxt[dim] = min(nxt[dim] + W, caps[dim])
+            if tuple(nxt) == (tm, tk, tn) or not _reference_fits(*nxt, accel, in1_b, in2_b, out_b):
+                break
+            tm, tk, tn = nxt
+    return TilingPlan(tm, tk, tn, wide_output=plan.wide_output)
+
+
+def _plan_or_error(tiles, op, accel, wide_output):
+    try:
+        return tiles(op, accel, wide_output)
+    except InfeasibleConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(W=st.sampled_from((4, 8, 16, 32)),
+       dims=st.tuples(*[st.integers(1, 3000)] * 3),
+       in_precisions=st.lists(st.sampled_from((1, 2, 4)), min_size=1, max_size=2),
+       out_precision=st.sampled_from((1, 2, 4)),
+       pre_nonlinear=st.booleans(),
+       wide_output=st.sampled_from((None, True, False)),
+       spad=st.integers(16, 1 << 20), acc=st.integers(16, 1 << 19))
+def test_tile_walk_matches_reference_loops(W, dims, in_precisions, out_precision,
+                                           pre_nonlinear, wide_output, spad, acc):
+    op = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(*dims),
+                      in_precisions=tuple(in_precisions), out_precision=out_precision,
+                      pre_nonlinear=pre_nonlinear)
+    accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=spad, accumulator_bytes=acc)
+    for tiles, reference in ((square_tiles, _reference_square_tiles),
+                             (greedy_tiles, _reference_greedy_tiles)):
+        assert (_plan_or_error(tiles, op, accel, wide_output)
+                == _plan_or_error(reference, op, accel, wide_output))
+
+
 def test_matmul_dims_lowering(bert512):
     from tfperf.workload import resnet50_ops
     conv = resnet50_ops()[0]
