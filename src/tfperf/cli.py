@@ -7,11 +7,16 @@ round-trips losslessly. Exit codes: 0 ok, 2 bad config, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
+from itertools import chain
+from operator import itemgetter
+
+import numpy as np
 
 from . import mapspace
 from .archsearch import CostCache, DEFAULT_SPACE, evolve, space_from_json
@@ -91,7 +96,7 @@ def cmd_memsweep(args):
                                           pe_width=accel.pe_width,
                                           dram_bw=accel.dram_bw)
     cols = ["scratchpad_kb", "accumulator_kb", "latency_cycles", "feasible", "best"]
-    rows = [(*r["split"], r["latency"], r["feasible"], r is best) for r in sweep_rows]
+    rows = [(*row, i == best) for i, row in enumerate(sweep_rows)]
     return rows, cols, {}
 
 
@@ -155,8 +160,58 @@ def cmd_search(args):
 # Emission
 # ---------------------------------------------------------------------------
 
+def _number_columns(rows: list, width: int) -> list | None:
+    """Each column of an all-number table as a pair: (cells, None) for an int
+    column, and (texts, index) for a float column, whose cell i reads
+    texts[index[i]]. None unless every row has `width` cells and each column
+    holds only exact ints or only exact floats; a str, bool or "" cell leaves
+    the table to csv.writer.
+
+    A float column is formatted once per distinct value, told apart by its
+    IEEE bits: float equality would merge 0.0 with -0.0 and never match a NaN.
+    Each text is the repr of the value's first cell, not of a new float: the
+    float free list would keep some of those, and long-lived floats made
+    later would pin their arenas, so that resident memory creeps per call.
+    """
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    columns = []
+    for j in range(width):
+        cells = list(map(itemgetter(j), rows))
+        kinds = set(map(type, cells))
+        if kinds == {int}:
+            columns.append((cells, None))
+        elif kinds == {float}:
+            _, first, index = np.unique(np.array(cells).view(np.uint64),
+                                        return_index=True, return_inverse=True)
+            texts = np.array([repr(cells[i]) for i in first.tolist()], dtype=object)
+            columns.append((texts, index))
+        else:
+            return None
+    return columns
+
+
+def _csv_texts(rows: list, columns: list) -> list[str]:
+    """A table's CSV text in pieces, byte for byte what csv.writer writes.
+
+    An all-number table's lines are one %-format: %d gives str of an int, and
+    %s each float cell's repr text. That makes no object per cell or line.
+    """
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    number_columns = _number_columns(rows, len(columns))
+    if number_columns is None:
+        w.writerows(rows)
+        return [buf.getvalue()]
+    line = ",".join("%d" if index is None else "%s" for _, index in number_columns) + "\n"
+    cells = [values if index is None else values[index].tolist()
+             for values, index in number_columns]
+    return [buf.getvalue(), (line * len(rows)) % tuple(chain.from_iterable(zip(*cells)))]
+
+
 def emit(header: dict, tables: dict, fmt: str, out: str | None) -> int:
-    """Serialize a report; returns bytes written.
+    """Serialize a report; returns the UTF-8 bytes written.
 
     Each table is a (rows, columns) pair, every row a tuple in column order.
     JSON writes the header keys and then each table as a list of objects;
@@ -165,21 +220,16 @@ def emit(header: dict, tables: dict, fmt: str, out: str | None) -> int:
     if fmt == "json":
         report = {**header, **{key: [dict(zip(columns, row, strict=True)) for row in rows]
                                for key, (rows, columns) in tables.items()}}
-        text = json.dumps(report, indent=2) + "\n"
+        texts = [json.dumps(report, indent=2) + "\n"]
     else:
-        rows, columns = tables["rows"]
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(rows)
-        text = buf.getvalue()
-    data = text.encode("utf-8")
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as f:
+        texts = _csv_texts(*tables["rows"])
+    written = 0
+    with (open(out, "w", encoding="utf-8", newline="") if out
+          else contextlib.nullcontext(sys.stdout)) as f:
+        for text in texts:
             f.write(text)
-    else:
-        sys.stdout.write(text)
-    return len(data)
+            written += len(text) if text.isascii() else len(text.encode("utf-8"))
+    return written
 
 
 def _common(p, model=True, seqlen=True, accel=True, seed=False):

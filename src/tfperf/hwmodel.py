@@ -516,8 +516,8 @@ def memory_split_sweep(cfg: ModelConfig, total_kb: int,
                        pe_width: int = 16, dram_bw: float = 3.0):
     """Matmul latency for each (scratchpad_kb, accumulator_kb) split.
 
-    Returns (rows, best) where rows are dicts with keys split/latency/feasible
-    and best is the feasible row with the lowest latency.
+    Returns (rows, best): one (spad_kb, acc_kb, latency, feasible) tuple per
+    split, and the index of the first feasible row with the lowest latency.
     """
     if splits is None:
         splits = [(k, total_kb - k) for k in range(16, total_kb, 16)]
@@ -532,12 +532,10 @@ def memory_split_sweep(cfg: ModelConfig, total_kb: int,
                                   accumulator_bytes=acc_kb * 1024,
                                   dram_bw=dram_bw).check()
         try:
-            lat = _matmul_total(_ops_costs(ops, accel))
-            rows.append({"split": (spad_kb, acc_kb), "latency": lat, "feasible": True})
+            rows.append((spad_kb, acc_kb, _matmul_total(_ops_costs(ops, accel)), True))
         except InfeasibleConfigError:
-            rows.append({"split": (spad_kb, acc_kb), "latency": math.inf, "feasible": False})
-    feasible = [r for r in rows if r["feasible"]]
+            rows.append((spad_kb, acc_kb, math.inf, False))
+    feasible = [i for i, row in enumerate(rows) if row[3]]
     if not feasible:
         raise InfeasibleConfigError(f"no feasible split of {total_kb} kB")
-    best = min(feasible, key=lambda r: r["latency"])
-    return rows, best
+    return rows, min(feasible, key=lambda i: rows[i][2])

@@ -1,15 +1,19 @@
 """CLI: argument handling, exit codes, CSV/JSON emission, determinism."""
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfperf import cli, hwmodel, mapspace
 from tfperf.cli import COMMANDS, build_parser, main
@@ -451,6 +455,122 @@ def test_every_row_has_one_value_per_column(argv, fmt):
         assert table_rows
         assert all(type(row) is tuple for row in table_rows)
         assert {len(row) for row in table_rows} == {len(table_columns)}
+
+
+def csv_writer_text(rows, columns) -> str:
+    oracle = io.StringIO()
+    w = csv.writer(oracle, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(rows)
+    return oracle.getvalue()
+
+
+def emit_csv(rows, columns) -> tuple[str, int]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        written = cli.emit({}, {"rows": (rows, columns)}, "csv", None)
+    return out.getvalue(), written
+
+
+# 0.0 and -0.0 differ in their bits and text; NaNs of either sign print "nan"
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                  0.1, 1.0, -2.5e-7, 1.7976931348623157e308]
+
+
+@st.composite
+def number_tables(draw):
+    """(rows, columns): one int column among 1-4 float columns, each float
+    column every SPECIAL_FLOATS value and a few drawn ones, heavily repeated."""
+    n_rows = draw(st.integers(len(SPECIAL_FLOATS) + 6, 120))
+    float_columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = SPECIAL_FLOATS + draw(st.lists(st.floats(), min_size=1, max_size=6))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=n_rows - len(pool),
+                              max_size=n_rows - len(pool)))
+        float_columns.append(draw(st.permutations(pool + picks)))
+    ints = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n_rows, max_size=n_rows))
+    cells = float_columns[:]
+    cells.insert(draw(st.integers(0, len(float_columns))), ints)
+    columns = draw(st.lists(st.text(max_size=4), min_size=len(cells), max_size=len(cells)))
+    return list(zip(*cells)), columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(number_tables())
+def test_emit_csv_matches_csv_writer_on_number_tables(table):
+    rows, columns = table
+    expected = csv_writer_text(rows, columns)
+    assert cli._number_columns(rows, len(columns)) is not None
+    text, written = emit_csv(rows, columns)
+    assert text == expected
+    assert written == len(expected.encode("utf-8"))
+
+
+NOT_NUMBERS = st.one_of(st.text(max_size=4), st.booleans(), st.just(""),
+                        st.floats().map(np.float64), st.none())
+
+
+@settings(max_examples=100, deadline=None)
+@given(number_tables(), st.data())
+def test_emit_csv_matches_csv_writer_on_other_tables(table, data):
+    rows, columns = table
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i][data.draw(st.integers(0, len(columns) - 1))] = data.draw(NOT_NUMBERS)
+    rows = [tuple(row) for row in rows]
+    expected = csv_writer_text(rows, columns)
+    assert cli._number_columns(rows, len(columns)) is None
+    text, written = emit_csv(rows, columns)
+    assert text == expected
+    assert written == len(expected.encode("utf-8"))
+
+
+@pytest.mark.parametrize("rows, columns", [
+    ([], ["a", "b"]),
+    ([(1, 2.0), (3,)], ["a", "b"]),
+    ([(1, 2.0, 5), (3, 4.0)], ["a", "b"]),
+    ([(), ()], []),
+], ids=["empty", "short-row", "long-row", "no-columns"])
+def test_emit_csv_matches_csv_writer_on_odd_tables(rows, columns):
+    text, written = emit_csv(rows, columns)
+    assert text == csv_writer_text(rows, columns)
+    assert written == len(text)
+
+
+def test_mapsearch_csv_dump_matches_dictwriter(tmp_path, capsys, monkeypatch):
+    # at 20k samples the costs repeat
+    argv = ["mapsearch", "--op", "bert.mha", "--samples", "20000", "--seed", "7"]
+    args = build_parser().parse_args(argv)
+    rows, columns, _ = args.func(args)
+    assert len({row[1] for row in rows}) < len(rows) // 10
+    oracle = io.StringIO()
+    w = csv.DictWriter(oracle, fieldnames=columns, lineterminator="\n")
+    w.writeheader()
+    w.writerows(dict(zip(columns, row)) for row in rows)
+    expected = oracle.getvalue()
+
+    written = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda *a: written.append(emit(*a)) or written[-1])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    path = tmp_path / "dump.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert written == [len(expected)] * 2
+
+
+def test_emit_counts_utf8_bytes(tmp_path):
+    rows, columns = [(1, 0.5), (2, -0.0)], ["índice", "édp"]
+    path = tmp_path / "t.csv"
+    written = cli.emit({}, {"rows": (rows, columns)}, "csv", str(path))
+    assert written == len(path.read_bytes()) == len(csv_writer_text(rows, columns)) + 2
+    header = {"schema_version": "1", "generated_by": "tfperf analyze --model modèle"}
+    written = cli.emit(header, {"rows": (rows, columns)}, "json", str(path))
+    assert written == len(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------

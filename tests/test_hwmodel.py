@@ -340,13 +340,16 @@ def test_model_nonideal_intensity_frozen(accel, bert512):
 def test_memory_split_sweep(bert512):
     rows, best = memory_split_sweep(bert512, 320)
     assert len(rows) == 19
-    assert best["split"] == (64, 256)
-    default = next(r for r in rows if r["split"] == (256, 64))
-    margin = 1 - best["latency"] / default["latency"]
+    assert rows[best][:2] == (64, 256) and rows[best][3]
+    assert all(type(r) is tuple and len(r) == 4 for r in rows)
+    default = next(r for r in rows if r[:2] == (256, 64))
+    margin = 1 - rows[best][2] / default[2]
     assert margin == pytest.approx(0.23837745820126488, rel=1e-9)
     assert margin >= 0.2
     with pytest.raises(InfeasibleConfigError):
         memory_split_sweep(bert512, 320, splits=[(100, 100)])
+    with pytest.raises(InfeasibleConfigError, match="no feasible split"):
+        memory_split_sweep(bert512, 2, splits=[(1, 1)])
 
 
 def test_memory_split_sweep_builds_the_op_list_once(monkeypatch, bert512):
@@ -360,11 +363,10 @@ def test_memory_split_sweep_builds_the_op_list_once(monkeypatch, bert512):
     rows, _ = memory_split_sweep(bert512, 160)
     assert calls == [bert512]
     monkeypatch.undo()
-    for r in rows:  # each split still costs as a whole-model call does
-        spad_kb, acc_kb = r["split"]
+    for spad_kb, acc_kb, latency, _ in rows:  # each split still costs as a whole-model call does
         accel = AcceleratorConfig(scratchpad_bytes=spad_kb * 1024,
                                   accumulator_bytes=acc_kb * 1024).check()
-        assert r["latency"] == matmul_latency(bert512, accel)
+        assert latency == matmul_latency(bert512, accel)
 
 
 def test_latency_breakdown_categories_follow_mode(accel):
