@@ -1,9 +1,9 @@
 """Batch mapping-evaluation kernels (vectorized numpy, float64).
 
 Each kernel takes per-sample integer arrays (padded extents, spatial factors,
-tile sizes, loop positions) plus scalar hardware parameters, and returns
-per-sample arrays (lat, en, dram, compute): latency in cycles, energy, DRAM
-bytes and compute cycles.
+tile sizes, loop positions) plus scalar hardware parameters and the
+accelerator's `EnergyTable`, and returns per-sample arrays (lat, en, dram,
+compute): latency in cycles, energy, DRAM bytes and compute cycles.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 # reduction loop iterates above an iterating output-dim loop.
 
 def matmul_eval(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
-                in1_b, in2_b, out_b, W, bw, e_mac, e_spad, e_acc, e_dram):
+                in1_b, in2_b, out_b, W, bw, energy):
     Fm = Pm // tm
     Fk = Pk // tk
     Fn = Pn // tn
@@ -42,7 +42,7 @@ def matmul_eval(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
     lat = np.maximum(compute, dram / bw)
     spad = in1_bytes + in2_bytes + macs * (in1_b + in2_b) / W
     acc = macs * 4.0 / W + out_bytes
-    en = macs * e_mac + spad * e_spad + acc * e_acc + dram * e_dram
+    en = energy.total(macs, spad, acc, dram)
     return lat, en, dram, compute
 
 
@@ -53,7 +53,7 @@ def matmul_eval(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
 # the kernel halo, so kh/kw loops never force input re-fetches.
 
 def conv_eval(P, s_oc, s_ic, T, pos, stride,
-              act_b, w_b, out_b, W, bw, e_mac, e_spad, e_acc, e_dram):
+              act_b, w_b, out_b, W, bw, energy):
     Poc, Pic, Pkh, Pkw, Poh, Pow = (P[j] for j in range(6))
     F = [P[j] // T[j] for j in range(6)]
     Foc, Fic, Fkh, Fkw, Foh, Fow = F
@@ -97,5 +97,5 @@ def conv_eval(P, s_oc, s_ic, T, pos, stride,
     lat = np.maximum(compute, dram / bw)
     spad = w_bytes + i_bytes + macs * (act_b + w_b) / W
     acc = macs * 4.0 / W + o_bytes
-    en = macs * e_mac + spad * e_spad + acc * e_acc + dram * e_dram
+    en = energy.total(macs, spad, acc, dram)
     return lat, en, dram, compute

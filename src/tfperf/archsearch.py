@@ -1,10 +1,10 @@
 """Evolutionary hardware-aware architecture search with EDP objective.
 
 Searches encoder architectures over layer count, model dim, and per-layer
-head count / FFN dim. Each candidate is costed analytically on the
-accelerator model (sum of per-operator latency and energy, sequence length
-512) through a cost cache that memoizes whole encoder layers and, below
-them, operator shapes; quality uses a parameter-count proxy. Evolution
+head count / FFN dim. Each candidate is costed analytically on one
+accelerator (sum of per-operator latency and energy, sequence length
+`SEQ_LEN`) through a cost cache that memoizes whole encoder layers and,
+below them, operator shapes; quality uses a parameter-count proxy. Evolution
 retains the Pareto front (maximize quality, minimize EDP), kept with one
 sorted sweep, and refills the population by mutating retained members
 round-robin.
@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .hwmodel import (AcceleratorConfig, InfeasibleConfigError, OpCostTable, _wide_flags,
-                      greedy_tiles, op_latency)
+                      accel_preset, greedy_tiles, op_latency)
 from .workload import (ConfigError, Conv, Matmul, Mode, ModelConfig, OperatorSpec,
                        check_keys, layer_ops_encoder)
 
@@ -139,14 +138,17 @@ def quality_proxy(c: Candidate) -> float:
     return float(sum(4 * c.d * c.d + 2 * c.d * f for f in c.d_FFN))
 
 
-def _encoder_config(c: Candidate, seq_len: int) -> ModelConfig:
+SEQ_LEN = 512  # the sequence length every candidate is costed at
+
+
+def _encoder_config(c: Candidate) -> ModelConfig:
     # base num_heads=1 always divides d; real head counts enter per layer
     return ModelConfig(name="nas", num_layers=c.N, model_dim=c.d, num_heads=1,
-                       ffn_dim=c.d_FFN[0], seq_len=seq_len, mode=Mode.Encoder).check()
+                       ffn_dim=c.d_FFN[0], seq_len=SEQ_LEN, mode=Mode.Encoder).check()
 
 
-def candidate_ops(c: Candidate, seq_len: int = 512) -> list[OperatorSpec]:
-    cfg = _encoder_config(c, seq_len)
+def candidate_ops(c: Candidate) -> list[OperatorSpec]:
+    cfg = _encoder_config(c)
     ops: list[OperatorSpec] = []
     for i in range(c.N):
         ops.extend(layer_ops_encoder(cfg, i, heads=c.h[i], ffn_dim=c.d_FFN[i]))
@@ -154,39 +156,36 @@ def candidate_ops(c: Candidate, seq_len: int = 512) -> list[OperatorSpec]:
 
 
 class CostCache(OpCostTable):
-    """Lookup tables over operator and encoder-layer costs (transparent).
+    """Lookup tables over operator and encoder-layer costs on one
+    accelerator (transparent).
 
     The operator table is hwmodel's `OpCostTable`: `cost` memoizes one
-    operator's report by shape and accelerator, and `hits` and `misses`
-    count these operator lookups. `layers(accel, seq_len)` is the table
-    `candidate_edp` keeps per encoder layer: (d, h, d_FFN) maps to the
-    layer's (latency, energy) pairs in operator order.
+    operator's report by shape, and `hits` and `misses` count these
+    operator lookups. `layers` is the table `candidate_edp` keeps per
+    encoder layer: (d, h, d_FFN) maps to the layer's (latency, energy)
+    pairs in operator order.
     """
 
     # bound on this class too, so that wrapping the search's operator
     # lookups leaves every other OpCostTable alone
     cost = OpCostTable.cost
 
-    def __init__(self):
-        super().__init__()
-        self._layers: dict = {}
-
-    def layers(self, accel: AcceleratorConfig, seq_len: int) -> dict:
-        return self._layers.setdefault((accel, seq_len), {})
+    def __init__(self, accel: AcceleratorConfig):
+        super().__init__(accel)
+        self.layers: dict = {}
 
 
-def candidate_edp(c: Candidate, accel: AcceleratorConfig,
-                  cache: CostCache | None = None, seq_len: int = 512) -> float:
-    """Total latency x total energy over the candidate's encoder operators.
+def candidate_edp(c: Candidate, cache: CostCache) -> float:
+    """Total latency x total energy over the candidate's encoder operators,
+    on the cache's accelerator.
 
-    A layer's operators depend only on (d, h_i, d_FFN_i) at a given seq_len,
-    and no wide-input flag crosses a layer boundary (each layer starts with a
-    matmul), so each layer's per-operator costs are computed once and then
-    added up in operator order: the same sums as over `candidate_ops`.
+    A layer's operators depend only on (d, h_i, d_FFN_i), and no wide-input
+    flag crosses a layer boundary (each layer starts with a matmul), so each
+    layer's per-operator costs are computed once and then added up in
+    operator order: the same sums as over `candidate_ops`.
     """
-    cache = cache if cache is not None else CostCache()
-    cfg = _encoder_config(c, seq_len)
-    layers = cache.layers(accel, seq_len)
+    cfg = _encoder_config(c)
+    layers = cache.layers
     lat = 0.0
     energy = 0.0
     for i in range(c.N):
@@ -194,7 +193,7 @@ def candidate_edp(c: Candidate, accel: AcceleratorConfig,
         pairs = layers.get(key)
         if pairs is None:
             ops = layer_ops_encoder(cfg, i, heads=c.h[i], ffn_dim=c.d_FFN[i])
-            reps = [cache.cost(op, accel, wide_inputs=w)
+            reps = [cache.cost(op, wide_inputs=w)
                     for op, w in zip(ops, _wide_flags(ops))]
             pairs = layers[key] = tuple((r.latency, r.energy) for r in reps)
         for op_lat, op_energy in pairs:
@@ -203,11 +202,8 @@ def candidate_edp(c: Candidate, accel: AcceleratorConfig,
     return lat * energy
 
 
-def evaluate(c: Candidate, accel: AcceleratorConfig, cache: CostCache | None = None,
-             quality: Callable[[Candidate], float] = quality_proxy,
-             seq_len: int = 512) -> Candidate:
-    return replace(c, quality=quality(c),
-                   edp=candidate_edp(c, accel, cache, seq_len))
+def evaluate(c: Candidate, cache: CostCache) -> Candidate:
+    return replace(c, quality=quality_proxy(c), edp=candidate_edp(c, cache))
 
 
 @dataclass(frozen=True)
@@ -258,18 +254,19 @@ def pareto(points: list[Candidate]) -> ParetoFront:
 def evolve(space: SearchSpace = DEFAULT_SPACE,
            accel: AcceleratorConfig | None = None,
            pop: int = 40, rounds: int = 40, p: float = 0.2, seed=0,
-           cache: CostCache | None = None,
-           quality: Callable[[Candidate], float] = quality_proxy,
-           seq_len: int = 512) -> ParetoFront:
-    """Pareto-retention evolution; deterministic per seed."""
+           cache: CostCache | None = None) -> ParetoFront:
+    """Pareto-retention evolution; deterministic per seed. A given `cache`
+    must have been built for `accel`."""
     if pop < 2 or rounds < 1:
         raise ConfigError("need pop >= 2 and rounds >= 1")
     if accel is None:
-        from .hwmodel import accel_preset
         accel = accel_preset("gemmini-baseline")
+    if cache is None:
+        cache = CostCache(accel)
+    elif cache.accel != accel:
+        raise ValueError("cost cache was built for another accelerator")
     space.check()
     rng = _rng(seed)
-    cache = cache if cache is not None else CostCache()
     population = [sample_candidate(space, rng) for _ in range(pop)]
     trace: list = []
     discarded: list = []
@@ -281,7 +278,7 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
                 scored.append(c)
                 continue
             try:
-                scored.append(evaluate(c, accel, cache, quality, seq_len))
+                scored.append(evaluate(c, cache))
             except (ConfigError, ValueError) as exc:
                 discarded.append((c.encode(), str(exc)))
         front = pareto(list(front.points) + scored)
@@ -297,12 +294,11 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
     return ParetoFront(front.points, tuple(trace), tuple(discarded)).check()
 
 
-def rescore(front: ParetoFront, accel: AcceleratorConfig,
-            seq_len: int = 512) -> ParetoFront:
+def rescore(front: ParetoFront, accel: AcceleratorConfig) -> ParetoFront:
     """High-fidelity pass: re-cost retained candidates with greedy max tiles."""
     out = []
     for c in front.points:
-        ops = candidate_ops(c, seq_len)
+        ops = candidate_ops(c)
         wide = _wide_flags(ops)
         lat = 0.0
         energy = 0.0

@@ -92,9 +92,7 @@ def cmd_nonideal_ai(args):
 def cmd_memsweep(args):
     cfg = _load_model(args.model, args.seqlen)
     accel = _load_accel(args.accel)
-    sweep_rows, best = memory_split_sweep(cfg, args.total_kb,
-                                          pe_width=accel.pe_width,
-                                          dram_bw=accel.dram_bw)
+    sweep_rows, best = memory_split_sweep(cfg, accel, args.total_kb)
     cols = ["scratchpad_kb", "accumulator_kb", "latency_cycles", "feasible", "best"]
     rows = [(*row, i == best) for i, row in enumerate(sweep_rows)]
     return rows, cols, {}
@@ -148,7 +146,7 @@ def cmd_search(args):
     else:
         space = DEFAULT_SPACE
     front = evolve(space, accel, pop=args.pop, rounds=args.rounds,
-                   p=args.mutation, seed=args.seed, cache=CostCache())
+                   p=args.mutation, seed=args.seed, cache=CostCache(accel))
     if args.format == "json":
         cols = ["N", "d", "h", "d_FFN", "quality", "edp"]
         rows = [(c.N, c.d, c.h, c.d_FFN, c.quality, c.edp) for c in front.points]

@@ -24,8 +24,7 @@ from enum import Enum
 from .hwmodel import (_ACCUM_BYTES, _STANDALONE_PASSES, AcceleratorConfig, TilingPlan,
                       _tile_grid, greedy_tiles, op_latency)
 from .mapspace import _divisors
-from .workload import (ConfigError, Elementwise, Matmul, Mode, ModelConfig, OperatorSpec,
-                       layer_ops_encoder, model_preset)
+from .workload import Elementwise, Matmul, OperatorSpec, layer_ops_encoder, model_preset
 
 PAIR_NAMES = ("qk-softmax", "wout-ln", "ffn2-ln")
 
@@ -75,14 +74,9 @@ class FusionReport:
     reason: str = ""
 
 
-def bert_pair(name: str, seq_len: int = 512,
-              cfg: ModelConfig | None = None) -> FusionPair:
-    """The named producer/consumer pair of an encoder's first layer."""
-    if cfg is None:
-        cfg = model_preset("bert-base", seq_len=seq_len)
-    if cfg.check().mode is not Mode.Encoder:
-        raise ConfigError("bert_pair requires an Encoder-mode config")
-    ops = {op.name: op for op in layer_ops_encoder(cfg, 0)}
+def bert_pair(name: str, seq_len: int = 512) -> FusionPair:
+    """The named producer/consumer pair of bert-base's first layer."""
+    ops = {op.name: op for op in layer_ops_encoder(model_preset("bert-base", seq_len), 0)}
     if name == "qk-softmax":
         return FusionPair(ops["L0.qk"], ops["L0.softmax"], "n").check()
     if name == "wout-ln":
@@ -135,16 +129,13 @@ def _consumer_block_cycles(consumer: OperatorSpec, elements: int,
     return max(comp, elements * consumer.out_precision / accel.dram_bw)
 
 
-def eval_pair(pair: FusionPair, accel: AcceleratorConfig,
-              fused: bool = True) -> FusionReport:
+def eval_pair(pair: FusionPair, accel: AcceleratorConfig) -> FusionReport:
     """Fused-vs-nonfused latency report for one producer/consumer pair."""
     pair.check()
     plan = greedy_tiles(pair.producer, accel, wide_output=True)
     producer_nonfused = op_latency(pair.producer, accel, plan=plan).latency
     nonfused = (producer_nonfused
                 + op_latency(pair.consumer, accel, wide_inputs=True).latency)
-    if not fused:
-        return FusionReport(nonfused, nonfused, 1.0, 0.0, Verdict.FusionLoses)
 
     try:
         plan = fused_constraints(pair, accel)

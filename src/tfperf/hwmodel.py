@@ -10,9 +10,9 @@ Execution model:
   only on the first pass; otherwise it is re-fetched on every cross pass;
 - outputs accumulate in the (double-buffered) accumulator and drain once;
   operators feeding Softmax/LayerNorm drain at 4-byte precision;
-- matrix-vector series occupy one PE column per step (W MACs/cycle) unless
-  `idealized_matvec` is set; nonlinear vector work runs on the SFU at W
-  elements per cycle per pass, 3 passes for standalone Softmax/LayerNorm;
+- matrix-vector series occupy one PE column per step (W MACs/cycle);
+  nonlinear vector work runs on the SFU at W elements per cycle per pass,
+  3 passes for standalone Softmax/LayerNorm;
 - the L2 is unbounded staging: it adds no latency term, and the DRAM figure
   is the DRAM-to-L2 traffic.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Sequence
 
@@ -63,6 +63,12 @@ class EnergyTable:
             raise InfeasibleConfigError("energy table must satisfy dram > scratchpad > 0")
         return self
 
+    def total(self, macs, spad, acc, dram):
+        """Energy of `macs` MACs and the bytes moved at each memory level
+        (floats or arrays alike), summed in this order."""
+        return (macs * self.mac_energy + spad * self.scratchpad_access
+                + acc * self.accumulator_access + dram * self.dram_access)
+
 
 @dataclass(frozen=True)
 class AcceleratorConfig:
@@ -72,7 +78,6 @@ class AcceleratorConfig:
     dram_bw: float = 3.0
     sfu_vector_latency: float = 1.0
     energy: EnergyTable = field(default_factory=EnergyTable)
-    idealized_matvec: bool = False
 
     def check(self) -> "AcceleratorConfig":
         if self.pe_width < 1:
@@ -85,6 +90,7 @@ class AcceleratorConfig:
         return self
 
 
+# accelerator config documents, as accel_from_json reads them
 _ACCEL_PRESETS = {
     "gemmini-baseline": dict(pe_width=16, scratchpad_kb=256, accumulator_kb=64),
     "gemmini-tuned": dict(pe_width=16, scratchpad_kb=64, accumulator_kb=256),
@@ -93,13 +99,11 @@ _ACCEL_PRESETS = {
 
 def accel_preset(name: str) -> AcceleratorConfig:
     try:
-        p = _ACCEL_PRESETS[name]
+        doc = _ACCEL_PRESETS[name]
     except KeyError:
         raise InfeasibleConfigError(
             f"unknown accelerator preset {name!r}; choose from {sorted(_ACCEL_PRESETS)}") from None
-    return AcceleratorConfig(pe_width=p["pe_width"],
-                             scratchpad_bytes=p["scratchpad_kb"] * 1024,
-                             accumulator_bytes=p["accumulator_kb"] * 1024).check()
+    return accel_from_json(doc)
 
 
 _ACCEL_KEYS = ("pe_width", "scratchpad_kb", "accumulator_kb", "dram_bytes_per_cycle",
@@ -328,8 +332,6 @@ def _matvec_cost(op: OperatorSpec, accel: AcceleratorConfig):
         by = np.full(it, float(k.rows * k.cols * in2_b + k.cols * in1_b + k.rows * out_b))
         comp = np.full(it, math.ceil(k.rows * k.cols / W) + W)
         macs = float(k.rows * k.cols) * it
-    if accel.idealized_matvec:
-        comp = np.ones_like(comp)
     latency = float(np.maximum(comp, by / accel.dram_bw).sum())
     dram = float(by.sum())
     traffic = {"dram": dram,
@@ -377,11 +379,7 @@ def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
     r = op.repeat
     lat, comp, macs = lat * r, comp * r, macs * r
     traffic = MappingProxyType({k: v * r for k, v in traffic.items()})
-    e = accel.energy
-    energy = (macs * e.mac_energy
-              + traffic["spad"] * e.scratchpad_access
-              + traffic["acc"] * e.accumulator_access
-              + traffic["dram"] * e.dram_access)
+    energy = accel.energy.total(macs, traffic["spad"], traffic["acc"], traffic["dram"])
     return CostReport(latency=lat, energy=energy, traffic=traffic,
                       compute_bound=comp >= traffic["dram"] / accel.dram_bw)
 
@@ -394,15 +392,16 @@ def _shape_key(op: OperatorSpec, wide_inputs: bool) -> tuple:
 
 
 class OpCostTable:
-    """Operator reports memoized by shape and accelerator (transparent).
+    """Operator reports on one accelerator, memoized by shape (transparent).
 
-    `cost` returns what `op_latency` returns for square tiles, computing it
-    once per distinct `_shape_key` and accelerator; `hits` and `misses`
-    count lookups, and `misses == len(table)`. A table lives as long as its
-    owner: `model_costs` makes one per call, and no table outlives a command.
+    `cost` returns what `op_latency` returns on `accel` for square tiles,
+    computing it once per distinct `_shape_key`; `hits` and `misses` count
+    lookups, and `misses == len(table)`. A table lives as long as its owner:
+    `model_costs` makes one per call, and no table outlives a command.
     """
 
-    def __init__(self):
+    def __init__(self, accel: AcceleratorConfig):
+        self.accel = accel
         self._table: dict = {}
         self.hits = 0
         self.misses = 0
@@ -410,15 +409,14 @@ class OpCostTable:
     def __len__(self) -> int:
         return len(self._table)
 
-    def cost(self, op: OperatorSpec, accel: AcceleratorConfig,
-             wide_inputs: bool = False) -> CostReport:
-        key = (_shape_key(op, wide_inputs), accel)
+    def cost(self, op: OperatorSpec, wide_inputs: bool = False) -> CostReport:
+        key = _shape_key(op, wide_inputs)
         hit = self._table.get(key)
         if hit is not None:
             self.hits += 1
             return hit
         self.misses += 1
-        rep = op_latency(op, accel, wide_inputs=wide_inputs)
+        rep = op_latency(op, self.accel, wide_inputs=wide_inputs)
         self._table[key] = rep
         return rep
 
@@ -462,8 +460,8 @@ def model_costs(cfg: ModelConfig, accel: AcceleratorConfig):
 
 def _ops_costs(ops: Sequence[OperatorSpec], accel: AcceleratorConfig):
     """`model_costs` of an op list built already."""
-    table = OpCostTable()
-    return [(op, table.cost(op, accel, wide_inputs=wide))
+    table = OpCostTable(accel)
+    return [(op, table.cost(op, wide_inputs=wide))
             for op, wide in zip(ops, _wide_flags(ops))]
 
 
@@ -511,28 +509,21 @@ def _matmul_total(costs: Sequence[tuple[OperatorSpec, CostReport]]) -> float:
                if isinstance(op.kind, (Matmul, Conv, MatvecSeries)))
 
 
-def memory_split_sweep(cfg: ModelConfig, total_kb: int,
-                       splits: Sequence[tuple[int, int]] | None = None,
-                       pe_width: int = 16, dram_bw: float = 3.0):
-    """Matmul latency for each (scratchpad_kb, accumulator_kb) split.
+def memory_split_sweep(cfg: ModelConfig, accel: AcceleratorConfig, total_kb: int):
+    """Matmul latency of `accel` at each (scratchpad_kb, accumulator_kb)
+    split of `total_kb`, in 16 kB steps of the scratchpad.
 
     Returns (rows, best): one (spad_kb, acc_kb, latency, feasible) tuple per
     split, and the index of the first feasible row with the lowest latency.
     """
-    if splits is None:
-        splits = [(k, total_kb - k) for k in range(16, total_kb, 16)]
     ops = model_ops(cfg)  # the op list is the same at every split; each costs afresh
     rows = []
-    for spad_kb, acc_kb in splits:
-        if spad_kb + acc_kb != total_kb:
-            raise InfeasibleConfigError(
-                f"split {spad_kb}+{acc_kb} != total {total_kb} kB")
-        accel = AcceleratorConfig(pe_width=pe_width,
-                                  scratchpad_bytes=spad_kb * 1024,
-                                  accumulator_bytes=acc_kb * 1024,
-                                  dram_bw=dram_bw).check()
+    for spad_kb in range(16, total_kb, 16):
+        acc_kb = total_kb - spad_kb
+        split = replace(accel, scratchpad_bytes=spad_kb * 1024,
+                        accumulator_bytes=acc_kb * 1024).check()
         try:
-            rows.append((spad_kb, acc_kb, _matmul_total(_ops_costs(ops, accel)), True))
+            rows.append((spad_kb, acc_kb, _matmul_total(_ops_costs(ops, split)), True))
         except InfeasibleConfigError:
             rows.append((spad_kb, acc_kb, math.inf, False))
     feasible = [i for i, row in enumerate(rows) if row[3]]

@@ -256,20 +256,18 @@ def _eval_batch(batch: _Batch, accel: AcceleratorConfig,
                 precisions: tuple[int, int, int]):
     """Kernel arrays (lat, en, dram, compute) over every mapping of the batch."""
     act_b, w_b, out_b = precisions
-    e = accel.energy
     P = batch.padded()
     pos = batch.positions()
     if batch.nest.is_conv:
         return _kernels.conv_eval(
             P, batch.spatial[0], batch.spatial[1], batch.tiles, pos,
             batch.nest.stride, act_b, w_b, out_b, accel.pe_width, accel.dram_bw,
-            e.mac_energy, e.scratchpad_access, e.accumulator_access, e.dram_access)
+            accel.energy)
     return _kernels.matmul_eval(
         P[0], P[1], P[2], batch.spatial[0], batch.spatial[2],
         batch.tiles[0], batch.tiles[1], batch.tiles[2],
         pos[0], pos[1], pos[2],
-        act_b, w_b, out_b, accel.pe_width, accel.dram_bw,
-        e.mac_energy, e.scratchpad_access, e.accumulator_access, e.dram_access)
+        act_b, w_b, out_b, accel.pe_width, accel.dram_bw, accel.energy)
 
 
 @lru_cache(maxsize=None)
@@ -462,16 +460,16 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig,
     return best_mapping, _report(*best_row, accel)
 
 
-def matched_mac_dims(conv: OperatorSpec, l: int, ffn_ratio: float = 4.0) -> tuple[int, int]:
+def matched_mac_dims(conv: OperatorSpec, l: int) -> tuple[int, int]:
     """Transformer dims whose projection matmuls match a conv's MAC count.
 
     d: query projection d*d*l has the conv's MACs; d_ffn_hidden: an FFN pair
-    with hidden size ffn_ratio*d' (so ffn_ratio*d'^2*l MACs) matches it.
+    with hidden size 4*d' (so 4*d'^2*l MACs) matches it.
     """
     k = conv.kind
     if not isinstance(k, Conv):
         raise TypeError("matched_mac_dims needs a Conv operator")
     macs = k.kernel * k.kernel * k.in_ch * k.out_ch * k.out_h * k.out_w * k.repetitions
     d = round(math.sqrt(macs / l))
-    d_ffn = round(math.sqrt(macs / (l * ffn_ratio)))
+    d_ffn = round(math.sqrt(macs / (l * 4.0)))
     return d, d_ffn

@@ -208,7 +208,7 @@ def test_criterion_05_nonideal_ai_properties():
 
 def test_criterion_06_memory_split():
     t0 = time.monotonic()
-    rows, best = memory_split_sweep(model_preset("bert-base", 512), 320)
+    rows, best = memory_split_sweep(model_preset("bert-base", 512), ACCEL, 320)
     default = next(r for r in rows if r[:2] == (256, 64))
     margin = 1 - rows[best][2] / default[2]
     elapsed = time.monotonic() - t0
@@ -287,7 +287,7 @@ def test_criterion_09_architecture_search():
             assert not (a.quality >= b.quality and a.edp <= b.edp
                         and (a.quality > b.quality or a.edp < b.edp))
     assert front.min_edp <= front.trace[0][1]  # beats initial population
-    base_edp = candidate_edp(baseline(), ACCEL)
+    base_edp = candidate_edp(baseline(), CostCache(ACCEL))
     assert front.min_edp <= 0.5 * base_edp
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
@@ -336,10 +336,10 @@ def test_criterion_10_determinism_and_oracles():
     assert mutate(c, 0.5, 17) == mutate(c, 0.5, 17)
 
     # CostCache transparency on 10^3 random shapes
-    cache = CostCache()
+    cache = CostCache(ACCEL)
     for op in _random_ops(1000, seed=23):
         wide = isinstance(op.kind, Elementwise) and bool(hash(op.name) % 2)
-        got = cache.cost(op, ACCEL, wide_inputs=wide)
+        got = cache.cost(op, wide_inputs=wide)
         want = op_latency(op, ACCEL, wide_inputs=wide)
         assert (got.latency, got.energy, got.traffic, got.compute_bound) == \
                (want.latency, want.energy, want.traffic, want.compute_bound), op.name

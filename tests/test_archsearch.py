@@ -83,7 +83,7 @@ def test_candidate_check():
     with pytest.raises(ConfigError):
         Candidate(3, 400, (4, 4, 4), (768, 768, 768)).check(DEFAULT_SPACE)
     assert not T11.evaluated
-    assert evaluate(T11, accel_preset("gemmini-baseline")).evaluated
+    assert evaluate(T11, CostCache(accel_preset("gemmini-baseline"))).evaluated
 
 
 def test_quality_proxy_is_parameter_count():
@@ -167,39 +167,38 @@ def test_mutate_rejects_bad_probability():
 # ---------------------------------------------------------------------------
 
 def test_t11_edp_beats_baseline(accel):
-    t11_edp = candidate_edp(T11, accel)
-    base_edp = candidate_edp(baseline(), accel)
+    t11_edp = candidate_edp(T11, CostCache(accel))
+    base_edp = candidate_edp(baseline(), CostCache(accel))
     assert t11_edp == pytest.approx(3.4291873726444605e19, rel=1e-12)
     assert base_edp == pytest.approx(8.415132853657926e19, rel=1e-12)
     assert t11_edp < 0.5 * base_edp
 
 
 def test_cost_cache_transparent(accel):
-    from tfperf.hwmodel import _wide_flags
-    cache = CostCache()
+    cache = CostCache(accel)
     ops = candidate_ops(T11)
     wide = _wide_flags(ops)
     for op, w in zip(ops, wide):
-        got = cache.cost(op, accel, wide_inputs=w)
+        got = cache.cost(op, wide_inputs=w)
         want = op_latency(op, accel, wide_inputs=w)
         assert got.latency == want.latency and got.energy == want.energy, op.name
     assert cache.misses == len(cache)
     before = (cache.hits, cache.misses)
-    cache.cost(ops[0], accel, wide_inputs=wide[0])
+    cache.cost(ops[0], wide_inputs=wide[0])
     assert cache.hits == before[0] + 1 and cache.misses == before[1]
 
 
 def test_cached_edp_matches_uncached(accel):
-    cache = CostCache()
-    a = candidate_edp(T11, accel, cache)
-    b = candidate_edp(T11, accel, cache)  # all hits
-    c = candidate_edp(T11, accel)  # fresh cache
+    cache = CostCache(accel)
+    a = candidate_edp(T11, cache)
+    b = candidate_edp(T11, cache)  # all hits
+    c = candidate_edp(T11, CostCache(accel))  # fresh cache
     assert a == b == c
 
 
-def _flat_edp(c, accel, seq_len):
+def _flat_edp(c, accel):
     """Reference: every operator of the candidate costed afresh, summed in op order."""
-    ops = candidate_ops(c, seq_len)
+    ops = candidate_ops(c)
     lat = energy = 0.0
     for op, w in zip(ops, _wide_flags(ops)):
         rep = op_latency(op, accel, wide_inputs=w)
@@ -221,15 +220,12 @@ def _candidates(draw, space=DEFAULT_SPACE):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_candidates(), min_size=1, max_size=3))
 def test_layer_memo_matches_flat_sum(cands):
-    # one cache across two accelerators and two sequence lengths: layer
-    # entries of one (accel, seq_len) must never answer for another
-    cache = CostCache()
-    accels = (accel_preset("gemmini-baseline"), accel_preset("gemmini-tuned"))
-    for c in cands:
-        for a in accels:
-            for seq_len in (256, 512):
-                assert candidate_edp(c, a, cache, seq_len) == _flat_edp(c, a, seq_len)
-    assert cache.misses == len(cache)
+    # one cache per accelerator, each shared by every candidate
+    for a in (accel_preset("gemmini-baseline"), accel_preset("gemmini-tuned")):
+        cache = CostCache(a)
+        for c in cands:
+            assert candidate_edp(c, cache) == _flat_edp(c, a)
+        assert cache.misses == len(cache)
 
 
 def test_edp_monotone_in_architecture_size(accel):
@@ -237,7 +233,7 @@ def test_edp_monotone_in_architecture_size(accel):
     wider = Candidate(3, 480, (4, 4, 4), (768, 768, 768))
     deeper = Candidate(4, 384, (4, 4, 4, 4), (768, 768, 768, 768))
     fatter = Candidate(3, 384, (4, 4, 4), (1024, 768, 768))
-    e = {c: candidate_edp(c, accel) for c in (small, wider, deeper, fatter)}
+    e = {c: candidate_edp(c, CostCache(accel)) for c in (small, wider, deeper, fatter)}
     assert e[wider] > e[small]
     assert e[deeper] > e[small]
     assert e[fatter] > e[small]
@@ -364,7 +360,7 @@ def test_evolve_min_edp_monotone(accel):
 
 def test_evolve_beats_half_baseline(accel):
     front = evolve(pop=40, rounds=40, p=0.2, seed=5, accel=accel)
-    base = candidate_edp(baseline(), accel)
+    base = candidate_edp(baseline(), CostCache(accel))
     assert front.min_edp <= 0.5 * base
     assert max(p.quality for p in front.points) <= quality_proxy(baseline())
 
@@ -387,13 +383,22 @@ def test_evolve_rejects_accel_fitting_no_operator():
     tiny = AcceleratorConfig(scratchpad_bytes=64, accumulator_bytes=64)
     with pytest.raises(InfeasibleConfigError, match="no candidate fits the accelerator; "
                                                     "first discard: no 16x16 tile fits"):
-        evolve(pop=4, rounds=3, accel=tiny, cache=CostCache())
+        evolve(pop=4, rounds=3, accel=tiny, cache=CostCache(tiny))
 
 
 def test_evolve_shares_cache(accel):
-    cache = CostCache()
+    cache = CostCache(accel)
     evolve(pop=8, rounds=4, seed=1, accel=accel, cache=cache)
     assert cache.hits > 0  # repeated shapes across candidates actually hit
+
+
+def test_evolve_rejects_a_cache_for_another_accelerator(accel):
+    tuned = CostCache(accel_preset("gemmini-tuned"))
+    with pytest.raises(ValueError, match="another accelerator"):
+        evolve(pop=4, rounds=1, accel=accel, cache=tuned)
+    assert (tuned.hits, tuned.misses) == (0, 0)
+    # an equal accelerator built anew is the same accelerator
+    evolve(pop=4, rounds=1, accel=accel, cache=CostCache(accel_preset("gemmini-baseline")))
 
 
 def _front_doc(front):

@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 
 from tfperf import fusion, workload
-from tfperf.workload import (ConfigError, Matmul, MatvecSeries, OperatorClass, OperatorSpec,
-                             encoder_ops, model_preset)
+from tfperf.workload import (Matmul, MatvecSeries, OperatorClass, OperatorSpec, encoder_ops,
+                             model_preset)
 from tfperf.hwmodel import (AcceleratorConfig, accel_preset, greedy_tiles, model_costs,
                             op_latency)
 from tfperf.mapspace import Mapping, matmul_nest, validate
@@ -54,14 +54,9 @@ def test_bert_pair_is_the_first_layer_of_the_whole_encoder():
     ops = {op.name: op for op in encoder_ops(cfg)}
     for name, (producer, consumer) in zip(PAIR_NAMES, [("qk", "softmax"), ("wout", "add_ln1"),
                                                        ("w2", "add_ln2")]):
-        pair = bert_pair(name, cfg=cfg)
+        pair = bert_pair(name, 256)
         assert pair.producer == ops[f"L0.{producer}"]
         assert pair.consumer == ops[f"L0.{consumer}"]
-
-
-def test_bert_pair_rejects_a_decoder():
-    with pytest.raises(ConfigError, match="Encoder"):
-        bert_pair("qk-softmax", cfg=model_preset("gpt2", seq_len=128))
 
 
 def test_pair_check_errors():
@@ -228,13 +223,6 @@ def test_infeasible_cell_reported_not_raised():
     assert "accumulator" in r.reason
 
 
-def test_eval_pair_unfused_mode():
-    r = eval_pair(bert_pair("qk-softmax", 512), _accel(128), fused=False)
-    assert r.fused_latency == r.nonfused_latency
-    assert r.producer_penalty == 1.0
-    assert r.hidden_cycles == 0.0
-
-
 def test_nonfused_consumer_is_the_model_costs_report():
     accel = accel_preset("gemmini-baseline")
     for l in (128, 512):
@@ -246,7 +234,7 @@ def test_nonfused_consumer_is_the_model_costs_report():
             assert op == pair.consumer
             plan = greedy_tiles(pair.producer, accel, wide_output=True)
             producer = op_latency(pair.producer, accel, plan=plan).latency
-            r = eval_pair(pair, accel, fused=False)
+            r = eval_pair(pair, accel)
             assert r.nonfused_latency == producer + rep.latency, (name, l)
 
 

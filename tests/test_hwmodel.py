@@ -263,14 +263,6 @@ def test_matvec_series_memory_bound(accel):
     assert rep.traffic["dram"] == per_iter * 64
 
 
-def test_idealized_matvec_collapses_compute():
-    op = OperatorSpec("t", OperatorClass.MhaProjection, MatvecSeries(768, 768, 8))
-    fast = AcceleratorConfig(dram_bw=1e9)
-    ideal = AcceleratorConfig(dram_bw=1e9, idealized_matvec=True)
-    assert op_latency(op, ideal).latency < op_latency(op, fast).latency
-    assert op_latency(op, ideal).latency == 8  # one cycle per step
-
-
 def test_elementwise_wide_inputs(accel):
     op = OperatorSpec("t", OperatorClass.Nonlinear, Elementwise(4096, 5, 3))
     narrow = op_latency(op, accel, wide_inputs=False)
@@ -337,8 +329,8 @@ def test_model_nonideal_intensity_frozen(accel, bert512):
     assert model_nonideal_intensity(bert512, accel) == pytest.approx(56.48076923076923, rel=1e-9)
 
 
-def test_memory_split_sweep(bert512):
-    rows, best = memory_split_sweep(bert512, 320)
+def test_memory_split_sweep(accel, bert512):
+    rows, best = memory_split_sweep(bert512, accel, 320)
     assert len(rows) == 19
     assert rows[best][:2] == (64, 256) and rows[best][3]
     assert all(type(r) is tuple and len(r) == 4 for r in rows)
@@ -346,27 +338,32 @@ def test_memory_split_sweep(bert512):
     margin = 1 - rows[best][2] / default[2]
     assert margin == pytest.approx(0.23837745820126488, rel=1e-9)
     assert margin >= 0.2
-    with pytest.raises(InfeasibleConfigError):
-        memory_split_sweep(bert512, 320, splits=[(100, 100)])
-    with pytest.raises(InfeasibleConfigError, match="no feasible split"):
-        memory_split_sweep(bert512, 2, splits=[(1, 1)])
+    # the one split of 17 kB leaves a 1 kB accumulator, too small for a
+    # 16x16 tile of 4-byte outputs
+    with pytest.raises(InfeasibleConfigError, match="no feasible split of 17 kB"):
+        memory_split_sweep(bert512, accel, 17)
 
 
-def test_memory_split_sweep_builds_the_op_list_once(monkeypatch, bert512):
+def test_memory_split_sweep_builds_the_op_list_once(monkeypatch, accel, bert512):
     calls = []
 
     def counted(cfg):
         calls.append(cfg)
         return model_ops(cfg)
 
+    slow = replace(accel, dram_bw=1.0, sfu_vector_latency=2.0,
+                   energy=EnergyTable(mac_energy=2.0)).check()
     monkeypatch.setattr(hwmodel, "model_ops", counted)
-    rows, _ = memory_split_sweep(bert512, 160)
+    rows, _ = memory_split_sweep(bert512, slow, 160)
     assert calls == [bert512]
     monkeypatch.undo()
-    for spad_kb, acc_kb, latency, _ in rows:  # each split still costs as a whole-model call does
-        accel = AcceleratorConfig(scratchpad_bytes=spad_kb * 1024,
-                                  accumulator_bytes=acc_kb * 1024).check()
-        assert latency == matmul_latency(bert512, accel)
+    # each split costs as a whole-model call does, on the given accelerator
+    # with only its two capacities replaced
+    for spad_kb, acc_kb, latency, _ in rows:
+        split = replace(slow, scratchpad_bytes=spad_kb * 1024,
+                        accumulator_bytes=acc_kb * 1024).check()
+        assert latency == matmul_latency(bert512, split)
+    assert rows != memory_split_sweep(bert512, accel, 160)[0]
 
 
 def test_latency_breakdown_categories_follow_mode(accel):
@@ -395,8 +392,25 @@ def test_accel_presets():
     assert (base.scratchpad_bytes, base.accumulator_bytes) == (256 * 1024, 64 * 1024)
     tuned = accel_preset("gemmini-tuned")
     assert (tuned.scratchpad_bytes, tuned.accumulator_bytes) == (64 * 1024, 256 * 1024)
-    with pytest.raises(InfeasibleConfigError):
+    # a preset is its JSON document read by accel_from_json
+    assert base == accel_from_json("{}")
+    assert tuned == accel_from_json('{"pe_width": 16, "scratchpad_kb": 64, "accumulator_kb": 256}')
+    with pytest.raises(InfeasibleConfigError, match="unknown accelerator preset 'nope'; "
+                                                    "choose from"):
         accel_preset("nope")
+
+
+def test_energy_total_sums_in_table_order(accel):
+    # MAC term first: each tiny term is lost against 1.0, where summing the
+    # memory terms first would give 1.0000000000000002
+    e = EnergyTable(mac_energy=1.0, scratchpad_access=1e-16, accumulator_access=1e-16,
+                    dram_access=1e-16)
+    assert e.total(1.0, 1.0, 1.0, 1.0) == 1.0
+    assert (1e-16 + 1e-16 + 1e-16) + 1.0 != 1.0
+    rep = op_latency(_op("L0.wq", model_preset("bert-base", 128)), accel)
+    t = rep.traffic
+    macs = 768 * 768 * 128
+    assert rep.energy == accel.energy.total(macs, t["spad"], t["acc"], t["dram"])
 
 
 def test_accel_from_json():
@@ -501,20 +515,23 @@ def test_model_costs_share_reports_of_repeated_layers(accel, bert512):
 def test_op_cost_table_counts_and_keys(accel, bert512):
     ops = model_ops(bert512)
     wide = _wide_flags(ops)
-    table = OpCostTable()
+    table = OpCostTable(accel)
     for op, w in zip(ops, wide):
-        table.cost(op, accel, wide_inputs=w)
+        table.cost(op, wide_inputs=w)
     distinct = {_shape_key(op, w) for op, w in zip(ops, wide)}
     # per layer, wq/wk/wv share one shape and so do the two add+LayerNorm steps
     assert len(table) == table.misses == len(distinct) == 9
     assert table.hits == len(ops) - len(distinct)
-    # the name is not part of the key; the accelerator and wide flag are
-    assert table.cost(replace(ops[0], name="renamed"), accel) is table.cost(ops[0], accel)
-    other = AcceleratorConfig(dram_bw=accel.dram_bw * 2)
-    assert table.cost(ops[0], other) is not table.cost(ops[0], accel)
+    # the name is not part of the key; the wide flag is
+    assert table.cost(replace(ops[0], name="renamed")) is table.cost(ops[0])
     softmax = next(op for op, w in zip(ops, wide) if w)
-    assert (table.cost(softmax, accel, wide_inputs=False).traffic["dram"]
-            < table.cost(softmax, accel, wide_inputs=True).traffic["dram"])
+    assert (table.cost(softmax, wide_inputs=False).traffic["dram"]
+            < table.cost(softmax, wide_inputs=True).traffic["dram"])
+    # a table costs on the accelerator it was built for
+    other = AcceleratorConfig(dram_bw=accel.dram_bw * 2)
+    assert (_report_fields(OpCostTable(other).cost(ops[0]))
+            == _report_fields(op_latency(ops[0], other))
+            != _report_fields(table.cost(ops[0])))
 
 
 _MM = OperatorSpec("mm", OperatorClass.FfnProjection, Matmul(96, 64, 80))
@@ -530,9 +547,9 @@ _MV = OperatorSpec("mv", OperatorClass.ActToAct, MatvecSeries(64, 64, 64))
     (_MV, replace(_MV, op_class=OperatorClass.FfnProjection)),
 ], ids=["kind", "repeat", "in_precisions", "out_precision", "pre_nonlinear", "op_class"])
 def test_op_cost_table_keys_every_field_op_latency_reads(accel, base, variant):
-    table = OpCostTable()
-    first = table.cost(base, accel)
-    got = table.cost(variant, accel)
+    table = OpCostTable(accel)
+    first = table.cost(base)
+    got = table.cost(variant)
     assert _report_fields(got) == _report_fields(op_latency(variant, accel))
     assert _report_fields(got) != _report_fields(first)
     assert len(table) == 2
@@ -541,15 +558,15 @@ def test_op_cost_table_keys_every_field_op_latency_reads(accel, base, variant):
 def test_op_cost_table_does_not_keep_failures():
     tiny = AcceleratorConfig(scratchpad_bytes=64, accumulator_bytes=64)
     op = OperatorSpec("mm", OperatorClass.FfnProjection, Matmul(64, 64, 64))
-    table = OpCostTable()
+    table = OpCostTable(tiny)
     for _ in range(2):
         with pytest.raises(InfeasibleConfigError):
-            table.cost(op, tiny)
+            table.cost(op)
     assert (len(table), table.misses, table.hits) == (0, 2, 0)
 
 
 def test_table_reports_are_read_only(accel):
-    rep = OpCostTable().cost(_MM, accel)
+    rep = OpCostTable(accel).cost(_MM)
     before = dict(rep.traffic)
     with pytest.raises(TypeError):
         rep.traffic["dram"] = 0.0

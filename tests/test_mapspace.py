@@ -400,7 +400,7 @@ def test_matched_mac_dims():
     # 7x7 stem conv at its 56x56 post-pool output: 29.5M MACs
     stem = OperatorSpec("t", OperatorClass.Convolution, Conv(7, 3, 64, 56, 56))
     assert matched_mac_dims(stem, 512) == (240, 120)
-    d, dff = matched_mac_dims(stem, 512, ffn_ratio=4.0)
+    d, dff = matched_mac_dims(stem, 512)
     assert abs(d * d * 512 - 29503488) / 29503488 < 0.01
     assert abs(4 * dff * dff * 512 - 29503488) / 29503488 < 0.01
     with pytest.raises(TypeError):
