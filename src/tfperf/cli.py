@@ -208,6 +208,50 @@ def _csv_texts(rows: list, columns: list) -> list[str]:
     return [buf.getvalue(), (line * len(rows)) % tuple(chain.from_iterable(zip(*cells)))]
 
 
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+# between a row's cells, at the depth where indent=2 puts them
+_CELL_SEPARATORS = (",\n      ", ": ")
+
+
+def _scalar_table_json(table) -> str | None:
+    """`table` as json.dumps(report, indent=2) writes it under a top-level
+    key, if it is a list of non-empty objects with str keys and scalar cells;
+    else None.
+
+    The C encoder writes the list with each cell on its own line already, and
+    only the row boundaries need re-indenting. Encoded JSON holds no raw
+    newline, so "},\n      {" occurs only between two rows.
+    """
+    if type(table) is not list:
+        return None
+    if not table:
+        return "[]"
+    if (set(map(type, table)) != {dict} or not all(table)
+            or set(map(type, chain.from_iterable(table))) != {str}
+            or not set(map(type, chain.from_iterable(map(dict.values, table)))) <= _SCALAR_TYPES):
+        return None
+    text = json.dumps(table, separators=_CELL_SEPARATORS)
+    return ("[\n    {\n      " + text[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            + "\n    }\n  ]")
+
+
+def _json_text(report: dict) -> str:
+    """json.dumps(report, indent=2) + "\n", byte for byte.
+
+    CPython's json runs its pure-Python encoder whenever `indent` is set. A
+    report with str keys whose values are scalars or tables of scalar cells
+    is put together from the C encoder's output instead; any other report
+    (a `search` row's `h` is a list) keeps the indenting encoder.
+    """
+    pieces = []
+    for key, value in report.items():
+        text = json.dumps(value) if type(value) in _SCALAR_TYPES else _scalar_table_json(value)
+        if text is None or type(key) is not str:
+            return json.dumps(report, indent=2) + "\n"
+        pieces.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(pieces) + "\n}\n" if pieces else "{}\n"
+
+
 def emit(header: dict, tables: dict, fmt: str, out: str | None) -> int:
     """Serialize a report; returns the UTF-8 bytes written.
 
@@ -218,7 +262,7 @@ def emit(header: dict, tables: dict, fmt: str, out: str | None) -> int:
     if fmt == "json":
         report = {**header, **{key: [dict(zip(columns, row, strict=True)) for row in rows]
                                for key, (rows, columns) in tables.items()}}
-        texts = [json.dumps(report, indent=2) + "\n"]
+        texts = [_json_text(report)]
     else:
         texts = _csv_texts(*tables["rows"])
     written = 0

@@ -248,6 +248,15 @@ def _sizes(total: int, tile: int) -> np.ndarray:
     return out
 
 
+def _resident(op: OperatorSpec, accel: AcceleratorConfig) -> tuple[bool, bool]:
+    """Whether each input's whole matrix fits its scratchpad half, and so
+    loads only on the first pass."""
+    M, K, N = matmul_dims(op)
+    in1_b, in2_b = _in_bytes(op)
+    half = accel.scratchpad_bytes // 2
+    return M * K * in1_b <= half, K * N * in2_b <= half
+
+
 def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig,
                drain: bool = True):
     """Per-tile grids of the m-outer/n-middle/k-inner walk, on axes (m, n, k).
@@ -259,9 +268,7 @@ def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig,
     M, K, N = matmul_dims(op)
     W = accel.pe_width
     in1_b, in2_b = _in_bytes(op)
-    half = accel.scratchpad_bytes // 2
-    in1_resident = M * K * in1_b <= half
-    in2_resident = K * N * in2_b <= half
+    in1_resident, in2_resident = _resident(op, accel)
 
     ms = _sizes(M, plan.tile_m)
     ks = _sizes(K, plan.tile_k)
@@ -328,7 +335,6 @@ def _matvec_cost(op: OperatorSpec, accel: AcceleratorConfig):
         macs = float(static * steps.sum())
     else:
         # weights reloaded every step; matrix operand carries in2 precision
-        steps = np.full(it, 1.0)
         by = np.full(it, float(k.rows * k.cols * in2_b + k.cols * in1_b + k.rows * out_b))
         comp = np.full(it, math.ceil(k.rows * k.cols / W) + W)
         macs = float(k.rows * k.cols) * it
@@ -455,11 +461,7 @@ def model_costs(cfg: ModelConfig, accel: AcceleratorConfig):
     Identical layers repeat their operators, so each distinct operator is
     costed once, through a table made for this call; repeats share its report.
     """
-    return _ops_costs(model_ops(cfg), accel)
-
-
-def _ops_costs(ops: Sequence[OperatorSpec], accel: AcceleratorConfig):
-    """`model_costs` of an op list built already."""
+    ops = model_ops(cfg)
     table = OpCostTable(accel)
     return [(op, table.cost(op, wide_inputs=wide))
             for op, wide in zip(ops, _wide_flags(ops))]
@@ -501,11 +503,7 @@ def nonlinear_latency_share(cfg: ModelConfig, accel: AcceleratorConfig) -> float
 
 def matmul_latency(cfg: ModelConfig, accel: AcceleratorConfig) -> float:
     """Total cycles spent in matmul-class operators (projections + act-to-act)."""
-    return _matmul_total(model_costs(cfg, accel))
-
-
-def _matmul_total(costs: Sequence[tuple[OperatorSpec, CostReport]]) -> float:
-    return sum(rep.latency for op, rep in costs
+    return sum(rep.latency for op, rep in model_costs(cfg, accel)
                if isinstance(op.kind, (Matmul, Conv, MatvecSeries)))
 
 
@@ -515,17 +513,40 @@ def memory_split_sweep(cfg: ModelConfig, accel: AcceleratorConfig, total_kb: int
 
     Returns (rows, best): one (spad_kb, acc_kb, latency, feasible) tuple per
     split, and the index of the first feasible row with the lowest latency.
+
+    Each latency is `matmul_latency` on the split, summed in the same op
+    order, but each piece of it is costed once per sweep. Elementwise ops
+    are not matmul-class and are never costed. A matvec series reads no
+    capacity. A matmul or conv reads the capacities only through its tile
+    plan and which of its inputs stay resident, so its tile walk is costed
+    once per distinct (shape, plan, residency).
     """
-    ops = model_ops(cfg)  # the op list is the same at every split; each costs afresh
+    ops = [op for op in model_ops(cfg) if isinstance(op.kind, (Matmul, Conv, MatvecSeries))]
+    slot: dict = {}  # each distinct shape's index
+    slots = [slot.setdefault(_shape_key(op, False), len(slot)) for op in ops]
+    shapes = list(dict(zip(slots, ops)).values())  # one op of each shape, in slot order
+    costed: dict = {}  # a shape's slot (matvec) or (slot, plan, residency) -> latency
     rows = []
     for spad_kb in range(16, total_kb, 16):
         acc_kb = total_kb - spad_kb
         split = replace(accel, scratchpad_bytes=spad_kb * 1024,
                         accumulator_bytes=acc_kb * 1024).check()
+        latency = []
         try:
-            rows.append((spad_kb, acc_kb, _matmul_total(_ops_costs(ops, split)), True))
+            for i, op in enumerate(shapes):
+                plan = None
+                walk = i
+                if not isinstance(op.kind, MatvecSeries):
+                    plan = square_tiles(op, split)
+                    walk = (i, plan, *_resident(op, split))
+                lat = costed.get(walk)
+                if lat is None:
+                    lat = costed[walk] = op_latency(op, split, plan=plan).latency
+                latency.append(lat)
         except InfeasibleConfigError:
             rows.append((spad_kb, acc_kb, math.inf, False))
+        else:
+            rows.append((spad_kb, acc_kb, sum(map(latency.__getitem__, slots)), True))
     feasible = [i for i, row in enumerate(rows) if row[3]]
     if not feasible:
         raise InfeasibleConfigError(f"no feasible split of {total_kb} kB")

@@ -4,7 +4,6 @@ Every test asserts the claim at its stated tolerance and runtime budget and
 prints `CRITERION <n> PASS: ...` on success; a failed test is the FAIL line.
 """
 import itertools
-import math
 import time
 
 import numpy as np
@@ -55,7 +54,7 @@ from tfperf.mapspace import (
     sample_stats,
     validate,
 )
-from tfperf.fusion import PAIR_NAMES, Verdict, bert_pair, eval_pair
+from tfperf.fusion import Verdict, bert_pair, eval_pair
 from tfperf.archsearch import (
     Candidate,
     CostCache,
@@ -64,7 +63,6 @@ from tfperf.archsearch import (
     evolve,
     mutate,
     pareto,
-    quality_proxy,
     sample_candidate,
     DEFAULT_SPACE,
 )

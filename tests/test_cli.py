@@ -573,6 +573,56 @@ def test_emit_counts_utf8_bytes(tmp_path):
     assert written == len(path.read_bytes())
 
 
+# text with quotes, backslashes, control characters and non-ASCII letters
+JSON_TEXT = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\x7fé€😀') | st.characters(), max_size=6)
+JSON_SCALARS = st.one_of(
+    JSON_TEXT, st.just(""), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]), st.floats())
+JSON_CELLS = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+
+
+@st.composite
+def json_tables(draw, cells):
+    """(rows, columns): 0-3 columns and 0-5 rows of `cells`."""
+    columns = draw(st.lists(JSON_TEXT, max_size=3))
+    rows = draw(st.lists(st.tuples(*[cells] * len(columns)), max_size=5))
+    return rows, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=3),
+       json_tables(st.one_of(JSON_SCALARS, JSON_CELLS)),
+       st.dictionaries(JSON_TEXT, json_tables(JSON_SCALARS), max_size=2))
+def test_emit_json_matches_indented_dumps(header, rows_table, extra):
+    # extra tables, as `search`'s trace is, of scalar cells only
+    tables = {**extra, "rows": rows_table}
+    report = {**header, **{key: [dict(zip(columns, row)) for row in rows]
+                           for key, (rows, columns) in tables.items()}}
+    expected = json.dumps(report, indent=2) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        written = cli.emit(header, tables, "json", None)
+    assert out.getvalue() == expected
+    assert written == len(expected.encode("utf-8"))
+
+
+def test_emit_json_encodes_scalar_tables_without_indent(monkeypatch):
+    """Only a table with a list cell, as `search` rows are, needs the
+    indenting encoder."""
+    indented = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: indented.append("indent" in kw)
+                        or dumps(obj, **kw))
+    header = {"schema_version": "1", "generated_by": "tfperf"}
+    scalar_rows = ([(1, 0.5, "a", None, True)], ["n", "x", "s", "z", "b"])
+    emit_text = io.StringIO()
+    with contextlib.redirect_stdout(emit_text):
+        cli.emit(header, {"trace": scalar_rows, "rows": scalar_rows}, "json", None)
+        assert not any(indented)
+        cli.emit(header, {"rows": ([(1, [2, 3])], ["n", "h"])}, "json", None)
+        assert indented[-1]
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing: one subcommand's parser, the full parser as oracle
 # ---------------------------------------------------------------------------

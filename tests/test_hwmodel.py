@@ -366,6 +366,79 @@ def test_memory_split_sweep_builds_the_op_list_once(monkeypatch, accel, bert512)
     assert rows != memory_split_sweep(bert512, accel, 160)[0]
 
 
+SWEEP_JSON_MODEL = {"name": "odd", "layers": 2, "d": 200, "heads": 5, "d_ffn": 600,
+                    "act_bytes": 2, "weight_bytes": 1}
+
+
+def _sweep_model(name: str, seq_len: int) -> ModelConfig:
+    if name == "json":
+        return model_from_json(SWEEP_JSON_MODEL, seq_len=seq_len)
+    return model_preset(name, seq_len)
+
+
+# a 64-wide array needs a 32 kB accumulator for a tile of 4-byte outputs, so
+# the last splits of a sweep are infeasible on it
+SWEEP_ACCELS = {"gemmini-baseline": accel_preset("gemmini-baseline"),
+                "w64": replace(accel_preset("gemmini-baseline"), pe_width=64, dram_bw=5.0)}
+
+
+@pytest.mark.parametrize("total_kb", [17, 64, 320, 1024])
+@pytest.mark.parametrize("seq_len", [128, 4096])
+@pytest.mark.parametrize("model", ["bert-base", "gpt2", "resnet50", "json"])
+@pytest.mark.parametrize("accel_name", list(SWEEP_ACCELS))
+def test_memory_split_sweep_matches_whole_model_costs(accel_name, model, seq_len, total_kb):
+    accel = SWEEP_ACCELS[accel_name]
+    cfg = _sweep_model(model, seq_len)
+    try:
+        rows, _ = memory_split_sweep(cfg, accel, total_kb)
+    except InfeasibleConfigError:
+        rows = [(spad_kb, total_kb - spad_kb, math.inf, False)
+                for spad_kb in range(16, total_kb, 16)]
+    assert [r[0] for r in rows] == list(range(16, total_kb, 16))
+    for spad_kb, acc_kb, latency, feasible in rows:
+        split = replace(accel, scratchpad_bytes=spad_kb * 1024,
+                        accumulator_bytes=acc_kb * 1024).check()
+        if feasible:
+            assert latency == matmul_latency(cfg, split)  # bit for bit
+        else:
+            assert latency == math.inf
+            with pytest.raises(InfeasibleConfigError):
+                model_costs(cfg, split)
+
+
+def test_memory_split_sweep_marks_splits_without_a_tile_infeasible():
+    rows, best = memory_split_sweep(model_preset("bert-base", 512), SWEEP_ACCELS["w64"], 320)
+    assert [r[3] for r in rows] == [acc_kb >= 32 for _, acc_kb, _, _ in rows]
+    assert rows[-1] == (304, 16, math.inf, False)
+    assert rows[best][3]
+
+
+@pytest.mark.parametrize("model", ["bert-base", "gpt2", "resnet50", "json"])
+def test_memory_split_sweep_costs_each_walk_once(monkeypatch, accel, model):
+    walks, matvecs = [], []
+    op_latency = hwmodel.op_latency
+
+    def counted(op, split, plan=None, wide_inputs=False):
+        assert not isinstance(op.kind, Elementwise)
+        if isinstance(op.kind, MatvecSeries):
+            matvecs.append(_shape_key(op, wide_inputs))
+        else:
+            M, K, N = matmul_dims(op)
+            in1_b, in2_b = hwmodel._in_bytes(op)
+            half = split.scratchpad_bytes // 2
+            walks.append((_shape_key(op, wide_inputs), plan or square_tiles(op, split),
+                          M * K * in1_b <= half, K * N * in2_b <= half))
+        return op_latency(op, split, plan=plan, wide_inputs=wide_inputs)
+
+    monkeypatch.setattr(hwmodel, "op_latency", counted)
+    rows, _ = memory_split_sweep(_sweep_model(model, 512), accel, 1024)
+    assert len(rows) == 63
+    # a decoder is all matvec series; the other models have no series
+    assert (bool(matvecs), bool(walks)) == ((True, False) if model == "gpt2" else (False, True))
+    assert len(set(walks)) == len(walks)
+    assert len(set(matvecs)) == len(matvecs)
+
+
 def test_latency_breakdown_categories_follow_mode(accel):
     cnn = latency_breakdown(model_preset("resnet50", 512), accel)
     assert list(cnn) == ["Convolution", "BatchNorm", "ReLU", "Other", "total"]
