@@ -274,9 +274,6 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
     for rnd in range(1, rounds + 1):
         scored = []
         for c in population:
-            if c.evaluated:
-                scored.append(c)
-                continue
             try:
                 scored.append(evaluate(c, cache))
             except (ConfigError, ValueError) as exc:

@@ -47,6 +47,9 @@ class FusionPair:
     def check(self) -> "FusionPair":
         if not isinstance(self.producer.kind, Matmul):
             raise TypeError("fusion producer must be a Matmul operator")
+        if not self.producer.pre_nonlinear:
+            raise ValueError("fusion producer must be pre_nonlinear: its outputs feed "
+                             "the consumer at accumulator width")
         if self.reduction_dim not in ("m", "n"):
             raise ValueError("reduction_dim must be an output dim: 'm' or 'n'")
         if not isinstance(self.consumer.kind, Elementwise):
@@ -118,7 +121,7 @@ def fused_constraints(pair: FusionPair, accel: AcceleratorConfig) -> TilingPlan:
             f"full {full_ext}-wide axis leaves no room for a k-slice in the "
             f"scratchpad half ({half} B)")
     t_k = _largest_divisor_leq(k.K, cap)
-    return TilingPlan(t_m, t_k, t_n, wide_output=True)
+    return TilingPlan(t_m, t_k, t_n)
 
 
 def _consumer_block_cycles(consumer: OperatorSpec, elements: int,
@@ -132,7 +135,7 @@ def _consumer_block_cycles(consumer: OperatorSpec, elements: int,
 def eval_pair(pair: FusionPair, accel: AcceleratorConfig) -> FusionReport:
     """Fused-vs-nonfused latency report for one producer/consumer pair."""
     pair.check()
-    plan = greedy_tiles(pair.producer, accel, wide_output=True)
+    plan = greedy_tiles(pair.producer, accel)
     producer_nonfused = op_latency(pair.producer, accel, plan=plan).latency
     nonfused = (producer_nonfused
                 + op_latency(pair.consumer, accel, wide_inputs=True).latency)

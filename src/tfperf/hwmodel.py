@@ -145,7 +145,6 @@ class TilingPlan:
     tile_m: int
     tile_k: int
     tile_n: int
-    wide_output: bool = False
 
 
 @dataclass(frozen=True)
@@ -189,20 +188,18 @@ def _in_bytes(op: OperatorSpec) -> tuple[int, int]:
     return (p[0], p[1]) if len(p) > 1 else (p[0], p[0])
 
 
-def _out_bytes(op: OperatorSpec, wide_output: bool) -> int:
-    return _ACCUM_BYTES if wide_output else op.out_precision
+def _out_bytes(op: OperatorSpec) -> int:
+    return _ACCUM_BYTES if op.pre_nonlinear else op.out_precision
 
 
-def _grow_tiles(op: OperatorSpec, accel: AcceleratorConfig, wide_output: bool | None,
+def _grow_tiles(op: OperatorSpec, accel: AcceleratorConfig,
                 groups: tuple[tuple[int, ...], ...]) -> TilingPlan:
     """Start from a WxWxW tile and, for each group of axes (0 m, 1 k, 2 n) in
     turn, grow every axis of the group by W, each capped at its extent padded
     to W, while the tile still grows and still fits."""
-    if wide_output is None:
-        wide_output = op.pre_nonlinear
     W = accel.pe_width
     in1_b, in2_b = _in_bytes(op)
-    out_b = _out_bytes(op, wide_output)
+    out_b = _out_bytes(op)
     half, acc_half = accel.scratchpad_bytes // 2, accel.accumulator_bytes // 2
     caps = tuple(_pad(x, W) for x in matmul_dims(op))
 
@@ -221,19 +218,17 @@ def _grow_tiles(op: OperatorSpec, accel: AcceleratorConfig, wide_output: bool | 
             if nxt == tile or not fits(nxt):
                 break
             tile = nxt
-    return TilingPlan(*tile, wide_output=wide_output)
+    return TilingPlan(*tile)
 
 
-def square_tiles(op: OperatorSpec, accel: AcceleratorConfig,
-                 wide_output: bool | None = None) -> TilingPlan:
+def square_tiles(op: OperatorSpec, accel: AcceleratorConfig) -> TilingPlan:
     """The largest square tile, grown on all three axes together."""
-    return _grow_tiles(op, accel, wide_output, ((0, 1, 2),))
+    return _grow_tiles(op, accel, ((0, 1, 2),))
 
 
-def greedy_tiles(op: OperatorSpec, accel: AcceleratorConfig,
-                 wide_output: bool | None = None) -> TilingPlan:
+def greedy_tiles(op: OperatorSpec, accel: AcceleratorConfig) -> TilingPlan:
     """Gemmini-style heuristic: square tiles, then greedily extend K, M, N."""
-    return _grow_tiles(op, accel, wide_output, ((0, 1, 2), (1,), (0,), (2,)))
+    return _grow_tiles(op, accel, ((0, 1, 2), (1,), (0,), (2,)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig,
         in2_bytes = in2_bytes * (np.arange(len(ms))[:, None, None] == 0)
     out_bytes = np.zeros((len(ms), len(ns), len(ks)))
     if drain:
-        out_bytes[:, :, -1] = (ms[:, None] * ns[None, :]) * _out_bytes(op, plan.wide_output)
+        out_bytes[:, :, -1] = (ms[:, None] * ns[None, :]) * _out_bytes(op)
 
     bytes_per_tile = in1_bytes + in2_bytes + out_bytes
     compute = tk * np.ceil(tm / W) * np.ceil(tn / W) + W
@@ -435,10 +430,9 @@ def report_intensity(op: OperatorSpec, rep: CostReport) -> float:
 
 
 def nonideal_intensity(op: OperatorSpec, accel: AcceleratorConfig,
-                       plan: TilingPlan | None = None,
                        wide_inputs: bool = False) -> float:
     """FLOPs over modeled DRAM traffic (tiling reloads, wide drains)."""
-    return report_intensity(op, op_latency(op, accel, plan=plan, wide_inputs=wide_inputs))
+    return report_intensity(op, op_latency(op, accel, wide_inputs=wide_inputs))
 
 
 # ---------------------------------------------------------------------------

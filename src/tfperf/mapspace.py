@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from . import _kernels
-from .hwmodel import AcceleratorConfig, CostReport, InfeasibleConfigError, _pad
+from .hwmodel import (AcceleratorConfig, CostReport, InfeasibleConfigError, _in_bytes,
+                      _out_bytes, _pad)
 from .workload import Conv, Matmul, OperatorSpec
 
 MATMUL_DIMS = ("m", "k", "n")
@@ -36,6 +37,9 @@ class MapspaceTooLargeError(ValueError):
 class LoopNest:
     dims: tuple[tuple[str, int], ...]
     stride: int = 1  # conv nests only
+    # bytes per element of the M x K operand (a conv's input), the K x N
+    # operand (a conv's weights) and the output
+    precisions: tuple[int, int, int] = (1, 1, 1)
 
     def __post_init__(self):
         names = [n for n, _ in self.dims]
@@ -45,6 +49,10 @@ class LoopNest:
             raise ValueError("extents must be >= 1")
         if tuple(names) not in (MATMUL_DIMS, CONV_DIMS):
             raise ValueError(f"dims must be {MATMUL_DIMS} or {CONV_DIMS}, got {names}")
+        p = self.precisions
+        if not (isinstance(p, tuple) and len(p) == 3 and all(
+                isinstance(b, int) and not isinstance(b, bool) and b >= 1 for b in p)):
+            raise ValueError(f"precisions must be three ints >= 1, got {p!r}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -75,11 +83,14 @@ def conv_nest(conv: Conv) -> LoopNest:
 
 
 def nest_of(op: OperatorSpec) -> LoopNest:
+    """The op's loop nest, at the operand and drain widths `hwmodel` costs it at."""
     if isinstance(op.kind, Matmul):
-        return matmul_nest(op.kind.M, op.kind.K, op.kind.N)
-    if isinstance(op.kind, Conv):
-        return conv_nest(op.kind)
-    raise TypeError(f"no loop nest for {type(op.kind).__name__}")
+        nest = matmul_nest(op.kind.M, op.kind.K, op.kind.N)
+    elif isinstance(op.kind, Conv):
+        nest = conv_nest(op.kind)
+    else:
+        raise TypeError(f"no loop nest for {type(op.kind).__name__}")
+    return replace(nest, precisions=(*_in_bytes(op), _out_bytes(op)))
 
 
 NAMED_NESTS = {
@@ -115,12 +126,12 @@ def _tile_choices(extent: int, s: int) -> tuple[int, ...]:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _footprints(nest: LoopNest, t, precisions: tuple[int, int, int]):
+def _footprints(nest: LoopNest, t):
     """(scratchpad-operand-1, scratchpad-operand-2, accumulator) tile bytes.
 
     t holds one tile size per dim in nest order: ints for one mapping, or
     arrays for a batch."""
-    act_b, w_b, out_b = precisions
+    act_b, w_b, out_b = nest.precisions
     if nest.is_conv:
         st = nest.stride
         ih = (t[4] - 1) * st + t[2]
@@ -131,11 +142,9 @@ def _footprints(nest: LoopNest, t, precisions: tuple[int, int, int]):
     return t[0] * t[1] * act_b, t[1] * t[2] * w_b, t[0] * t[2] * out_b
 
 
-def validate(m: Mapping, nest: LoopNest, accel: AcceleratorConfig,
-             precisions: tuple[int, int, int] = (1, 1, 1)) -> list[str]:
+def validate(m: Mapping, accel: AcceleratorConfig) -> list[str]:
     """Empty list when valid; otherwise one message per violated constraint."""
-    if m.nest != nest:
-        return ["mapping built for a different nest"]
+    nest = m.nest
     ndim = len(nest.names)
     out = [f"{label} has {len(v)} entries for {ndim} dims"
            for label, v in (("spatial", m.spatial), ("tiles", m.tiles)) if len(v) != ndim]
@@ -160,7 +169,7 @@ def validate(m: Mapping, nest: LoopNest, accel: AcceleratorConfig,
         out.append("dram permutation must be a tuple of dim names")
     elif sorted(m.dram_perm) != sorted(nest.names):
         out.append("dram permutation is not a bijection over dims")
-    f1, f2, facc = _footprints(nest, m.tiles, precisions)
+    f1, f2, facc = _footprints(nest, m.tiles)
     half = accel.scratchpad_bytes // 2
     if f1 > half:
         out.append(f"operand-1 tile {f1} B exceeds scratchpad half {half} B")
@@ -245,17 +254,15 @@ def _sample_batch(nest: LoopNest, accel: AcceleratorConfig, n: int,
     return batch
 
 
-def _valid_mask(batch: _Batch, accel: AcceleratorConfig,
-                precisions: tuple[int, int, int]) -> np.ndarray:
-    f1, f2, facc = _footprints(batch.nest, batch.tiles, precisions)
+def _valid_mask(batch: _Batch, accel: AcceleratorConfig) -> np.ndarray:
+    f1, f2, facc = _footprints(batch.nest, batch.tiles)
     half = accel.scratchpad_bytes // 2
     return (f1 <= half) & (f2 <= half) & (facc <= accel.accumulator_bytes // 2)
 
 
-def _eval_batch(batch: _Batch, accel: AcceleratorConfig,
-                precisions: tuple[int, int, int]):
+def _eval_batch(batch: _Batch, accel: AcceleratorConfig):
     """Kernel arrays (lat, en, dram, compute) over every mapping of the batch."""
-    act_b, w_b, out_b = precisions
+    act_b, w_b, out_b = batch.nest.precisions
     P = batch.padded()
     pos = batch.positions()
     if batch.nest.is_conv:
@@ -299,13 +306,12 @@ def _report(lat, en, dram, compute, accel: AcceleratorConfig) -> CostReport:
 _MAX_REJECTION_ROUNDS = 64
 
 
-def random_mapping(nest: LoopNest, accel: AcceleratorConfig, seed: int,
-                   precisions: tuple[int, int, int] = (1, 1, 1)) -> Mapping:
+def random_mapping(nest: LoopNest, accel: AcceleratorConfig, seed: int) -> Mapping:
     """One uniformly sampled valid mapping; deterministic per seed."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_REJECTION_ROUNDS):
         batch = _sample_batch(nest, accel, 64, rng)
-        ok = _valid_mask(batch, accel, precisions)
+        ok = _valid_mask(batch, accel)
         idx = np.flatnonzero(ok)
         if len(idx):
             return _mapping_from_batch(batch, int(idx[0]))
@@ -313,17 +319,16 @@ def random_mapping(nest: LoopNest, accel: AcceleratorConfig, seed: int,
         f"no valid mapping found for {nest.names} under the given capacities")
 
 
-def evaluate(m: Mapping, nest: LoopNest, accel: AcceleratorConfig,
-             precisions: tuple[int, int, int] = (1, 1, 1)) -> CostReport:
+def evaluate(m: Mapping, accel: AcceleratorConfig) -> CostReport:
     """Cost one mapping (rejects invalid ones)."""
-    bad = validate(m, nest, accel, precisions)
+    bad = validate(m, accel)
     if bad:
         raise InfeasibleConfigError("invalid mapping: " + "; ".join(bad))
-    batch = _Batch(nest, 1)
+    batch = _Batch(m.nest, 1)
     batch.spatial[:, 0] = m.spatial
     batch.tiles[:, 0] = m.tiles
-    batch.perm_idx[0] = _dram_perms(nest.names).index(m.dram_perm)
-    return _report(*(col[0] for col in _eval_batch(batch, accel, precisions)), accel)
+    batch.perm_idx[0] = _dram_perms(m.nest.names).index(m.dram_perm)
+    return _report(*(col[0] for col in _eval_batch(batch, accel)), accel)
 
 
 @dataclass(frozen=True)
@@ -342,8 +347,7 @@ class MapspaceStats:
         return float(np.count_nonzero(self.relative_edps < k)) / self.n_samples
 
 
-def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
-                 precisions: tuple[int, int, int] = (1, 1, 1)):
+def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int):
     """(latency, energy) arrays over n uniformly sampled valid mappings."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -358,11 +362,11 @@ def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
         batch = _sample_batch(nest, accel, max(need * 2, 1024), rng)
         # the kernels are elementwise, so costing only the kept columns gives
         # each of them the same latency and energy as costing the whole batch
-        keep = np.flatnonzero(_valid_mask(batch, accel, precisions))[:need]
+        keep = np.flatnonzero(_valid_mask(batch, accel))[:need]
         if not len(keep):
             continue
         batch = batch.take(keep)  # drops the rest of the draw before the kernels run
-        lat, en = _eval_batch(batch, accel, precisions)[:2]
+        lat, en = _eval_batch(batch, accel)[:2]
         lats[got:got + len(keep)] = lat
         ens[got:got + len(keep)] = en
         got += len(keep)
@@ -384,10 +388,9 @@ def stats_from_costs(lats: np.ndarray, ens: np.ndarray) -> MapspaceStats:
                          cdf=cdf, p10=p10)
 
 
-def sample_stats(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int,
-                 precisions: tuple[int, int, int] = (1, 1, 1)) -> MapspaceStats:
+def sample_stats(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int) -> MapspaceStats:
     """EDP statistics over n uniformly sampled valid mappings."""
-    return stats_from_costs(*sample_costs(nest, accel, n, seed, precisions))
+    return stats_from_costs(*sample_costs(nest, accel, n, seed))
 
 
 def mapspace_size(nest: LoopNest, accel: AcceleratorConfig) -> int:
@@ -409,8 +412,7 @@ def mapspace_size(nest: LoopNest, accel: AcceleratorConfig) -> int:
 _EXHAUSTIVE_GUARD = 10 ** 7
 
 
-def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig,
-                    precisions: tuple[int, int, int] = (1, 1, 1)):
+def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig):
     """Enumerate every valid mapping; return (Mapping, CostReport) of the
     minimum-EDP one, ties broken lexicographically on the mapping encoding."""
     size = mapspace_size(nest, accel)
@@ -437,10 +439,10 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig,
         batch.spatial[:] = np.array(svec, dtype=np.int64)[:, None]
         batch.tiles[:] = np.repeat(tiles.T, nperm, axis=1)
         batch.perm_idx[:] = np.tile(np.arange(nperm, dtype=np.int64), nt)
-        ok = _valid_mask(batch, accel, precisions)
+        ok = _valid_mask(batch, accel)
         if not ok.any():
             continue
-        rows = _eval_batch(batch, accel, precisions)
+        rows = _eval_batch(batch, accel)
         edp = rows[0] * rows[1]
         edp[~ok] = np.inf
         i = int(np.argmin(edp))

@@ -231,10 +231,10 @@ def test_criterion_07_mapspace_properties():
     seen = 0
     while seen < 100_000:
         batch = mapspace._sample_batch(mha, ACCEL, 16384, rng)
-        ok = np.flatnonzero(mapspace._valid_mask(batch, ACCEL, (1, 1, 1)))
+        ok = np.flatnonzero(mapspace._valid_mask(batch, ACCEL))
         for i in ok[: 100_000 - seen]:
             m = mapspace._mapping_from_batch(batch, int(i))
-            assert validate(m, mha, ACCEL) == []
+            assert validate(m, ACCEL) == []
         seen += min(len(ok), 100_000 - seen)
 
     small = matmul_nest(8, 8, 8)
@@ -374,12 +374,10 @@ def test_criterion_10_determinism_and_oracles():
     m = Mapping(nest=nest, spatial=(1, 1, 1), tiles=(64, 64, 64),
                 dram_perm=("m", "k", "n"))
     fit = AcceleratorConfig(scratchpad_bytes=8192, accumulator_bytes=8192)
-    assert validate(m, nest, fit) == []
+    assert validate(m, fit) == []
     assert any("scratchpad" in v for v in
-               validate(m, nest, AcceleratorConfig(scratchpad_bytes=8190,
-                                                   accumulator_bytes=8192)))
+               validate(m, AcceleratorConfig(scratchpad_bytes=8190, accumulator_bytes=8192)))
     assert any("accumulator" in v for v in
-               validate(m, nest, AcceleratorConfig(scratchpad_bytes=8192,
-                                                   accumulator_bytes=8190)))
+               validate(m, AcceleratorConfig(scratchpad_bytes=8192, accumulator_bytes=8190)))
     print("CRITERION 10 PASS: seeded reproducibility, cache transparency on "
           "10^3 shapes, Pareto/sampler-frequency/capacity-boundary oracles")

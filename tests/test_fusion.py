@@ -9,7 +9,7 @@ from tfperf.workload import (Matmul, MatvecSeries, OperatorClass, OperatorSpec, 
                              model_preset)
 from tfperf.hwmodel import (AcceleratorConfig, accel_preset, greedy_tiles, model_costs,
                             op_latency)
-from tfperf.mapspace import Mapping, matmul_nest, validate
+from tfperf.mapspace import Mapping, nest_of, validate
 from tfperf.fusion import (
     PAIR_NAMES,
     FusionInfeasibleError,
@@ -64,9 +64,17 @@ def test_pair_check_errors():
     mv = OperatorSpec("t", OperatorClass.ActToAct, MatvecSeries(8, 8, 8))
     with pytest.raises(TypeError):
         FusionPair(mv, softmax, "n").check()
-    mm = OperatorSpec("t", OperatorClass.ActToAct, Matmul(8, 8, 8), repeat=12)
-    with pytest.raises(ValueError):
+    mm = OperatorSpec("t", OperatorClass.ActToAct, Matmul(8, 8, 8), repeat=12,
+                      pre_nonlinear=True)
+    with pytest.raises(ValueError, match="reduction_dim"):
         FusionPair(mm, softmax, "k").check()
+
+
+def test_pair_check_rejects_producer_not_pre_nonlinear():
+    pair = bert_pair("qk-softmax", 8)
+    narrow = replace(pair.producer, pre_nonlinear=False)
+    with pytest.raises(ValueError, match="pre_nonlinear"):
+        FusionPair(narrow, pair.consumer, "n").check()
 
 
 def test_pair_check_rejects_non_elementwise_consumer():
@@ -116,11 +124,11 @@ def test_constraints_validate_as_mapping():
             accel = _accel(kb)
             pair = bert_pair(name, 512)
             c = fused_constraints(pair, accel)
-            k = pair.producer.kind
-            m = Mapping(nest=matmul_nest(k.M, k.K, k.N), spatial=(1, 1, 1),
+            # the producer's nest carries its 4-byte accumulator-width output
+            m = Mapping(nest=nest_of(pair.producer), spatial=(1, 1, 1),
                         tiles=(c.tile_m, c.tile_k, c.tile_n),
                         dram_perm=(pair.block_dim, "k", pair.reduction_dim))
-            assert validate(m, m.nest, accel, precisions=(1, 1, 4)) == [], (name, kb)
+            assert validate(m, accel) == [], (name, kb)
 
 
 def test_constraints_infeasible_tiny_accumulator():
@@ -232,7 +240,7 @@ def test_nonfused_consumer_is_the_model_costs_report():
             pair = bert_pair(name, l)
             op, rep = reports[pair.consumer.name]
             assert op == pair.consumer
-            plan = greedy_tiles(pair.producer, accel, wide_output=True)
+            plan = greedy_tiles(pair.producer, accel)
             producer = op_latency(pair.producer, accel, plan=plan).latency
             r = eval_pair(pair, accel)
             assert r.nonfused_latency == producer + rep.latency, (name, l)
@@ -254,7 +262,7 @@ def _ref_eval_pair(pair, accel):
     k = pair.producer.kind
     act_b = max(pair.producer.in_precisions)
     rep = pair.producer.repeat
-    plan = greedy_tiles(pair.producer, accel, wide_output=True)
+    plan = greedy_tiles(pair.producer, accel)
     producer_nonfused = op_latency(pair.producer, accel, plan=plan).latency
     nonfused = producer_nonfused + rep * _ref_consumer_cycles(k.M * k.N, accel, False)
     try:

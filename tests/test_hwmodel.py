@@ -41,7 +41,7 @@ from tfperf.hwmodel import (
     op_latency,
     square_tiles,
 )
-from tfperf.mapspace import Mapping, evaluate, matmul_nest
+from tfperf.mapspace import Mapping, evaluate, nest_of
 
 
 def _op(name: str, cfg: ModelConfig) -> OperatorSpec:
@@ -55,10 +55,12 @@ def _op(name: str, cfg: ModelConfig) -> OperatorSpec:
 def test_square_tiles_narrow_and_wide(accel, bert512):
     sq = square_tiles(_op("L0.wq", bert512), accel)
     assert (sq.tile_m, sq.tile_k, sq.tile_n) == (176, 176, 176)
-    assert not sq.wide_output
-    wout = square_tiles(_op("L0.wout", bert512), accel)
+    wout_op = _op("L0.wout", bert512)
+    assert wout_op.pre_nonlinear  # 4-byte accumulator rows shrink the tile
+    wout = square_tiles(wout_op, accel)
     assert (wout.tile_m, wout.tile_k, wout.tile_n) == (80, 80, 80)
-    assert wout.wide_output  # 4-byte accumulator rows shrink the tile
+    narrow = square_tiles(replace(wout_op, pre_nonlinear=False), accel)
+    assert (narrow.tile_m, narrow.tile_k, narrow.tile_n) == (176, 176, 176)
 
 
 def test_greedy_tiles_extend_k_first(accel, bert512):
@@ -98,10 +100,8 @@ def _reference_fits(tm, tk, tn, accel, in1_b, in2_b, out_b):
             and tm * tn * out_b <= accel.accumulator_bytes // 2)
 
 
-def _reference_square_tiles(op, accel, wide_output=None):
+def _reference_square_tiles(op, accel, wide_output):
     """The square walk as two loops were written before one walk served both."""
-    if wide_output is None:
-        wide_output = op.pre_nonlinear
     M, K, N = matmul_dims(op)
     W = accel.pe_width
     p = op.in_precisions
@@ -120,16 +120,16 @@ def _reference_square_tiles(op, accel, wide_output=None):
         if cand == clamped(t) or not _reference_fits(*cand, accel, in1_b, in2_b, out_b):
             break
         t += W
-    return TilingPlan(*clamped(t), wide_output=wide_output)
+    return TilingPlan(*clamped(t))
 
 
-def _reference_greedy_tiles(op, accel, wide_output=None):
+def _reference_greedy_tiles(op, accel, wide_output):
     plan = _reference_square_tiles(op, accel, wide_output)
     M, K, N = matmul_dims(op)
     W = accel.pe_width
     p = op.in_precisions
     in1_b, in2_b = (p[0], p[1]) if len(p) > 1 else (p[0], p[0])
-    out_b = 4 if plan.wide_output else op.out_precision
+    out_b = 4 if wide_output else op.out_precision
     tm, tk, tn = plan.tile_m, plan.tile_k, plan.tile_n
     caps = (_pad(M, W), _pad(K, W), _pad(N, W))
     for dim in (1, 0, 2):
@@ -139,12 +139,12 @@ def _reference_greedy_tiles(op, accel, wide_output=None):
             if tuple(nxt) == (tm, tk, tn) or not _reference_fits(*nxt, accel, in1_b, in2_b, out_b):
                 break
             tm, tk, tn = nxt
-    return TilingPlan(tm, tk, tn, wide_output=plan.wide_output)
+    return TilingPlan(tm, tk, tn)
 
 
-def _plan_or_error(tiles, op, accel, wide_output):
+def _plan_or_error(tiles, *args):
     try:
-        return tiles(op, accel, wide_output)
+        return tiles(*args)
     except InfeasibleConfigError as exc:
         return str(exc)
 
@@ -155,18 +155,18 @@ def _plan_or_error(tiles, op, accel, wide_output):
        in_precisions=st.lists(st.sampled_from((1, 2, 4)), min_size=1, max_size=2),
        out_precision=st.sampled_from((1, 2, 4)),
        pre_nonlinear=st.booleans(),
-       wide_output=st.sampled_from((None, True, False)),
        spad=st.integers(16, 1 << 20), acc=st.integers(16, 1 << 19))
 def test_tile_walk_matches_reference_loops(W, dims, in_precisions, out_precision,
-                                           pre_nonlinear, wide_output, spad, acc):
+                                           pre_nonlinear, spad, acc):
     op = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(*dims),
                       in_precisions=tuple(in_precisions), out_precision=out_precision,
                       pre_nonlinear=pre_nonlinear)
     accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=spad, accumulator_bytes=acc)
     for tiles, reference in ((square_tiles, _reference_square_tiles),
                              (greedy_tiles, _reference_greedy_tiles)):
-        assert (_plan_or_error(tiles, op, accel, wide_output)
-                == _plan_or_error(reference, op, accel, wide_output))
+        # the reference is told the drain width; the walk reads it off the op
+        assert (_plan_or_error(tiles, op, accel)
+                == _plan_or_error(reference, op, accel, pre_nonlinear))
 
 
 def test_matmul_dims_lowering(bert512):
@@ -248,10 +248,9 @@ def test_repeat_scales_costs(accel):
 
 def test_wide_output_drains_four_bytes(accel):
     spec = dict(op_class=OperatorClass.ActToAct, kind=Matmul(64, 64, 64))
-    narrow = op_latency(OperatorSpec("n", **spec), accel,
-                        plan=TilingPlan(64, 64, 64, wide_output=False))
-    wide = op_latency(OperatorSpec("w", **spec), accel,
-                      plan=TilingPlan(64, 64, 64, wide_output=True))
+    plan = TilingPlan(64, 64, 64)
+    narrow = op_latency(OperatorSpec("n", **spec), accel, plan=plan)
+    wide = op_latency(OperatorSpec("w", **spec, pre_nonlinear=True), accel, plan=plan)
     assert wide.traffic["dram"] - narrow.traffic["dram"] == 64 * 64 * 3
 
 
@@ -698,9 +697,9 @@ def test_tile_walk_differs_from_kernel_only_by_named_rules(W, m, k, n, spad_kb, 
     assume(M % plan.tile_m == 0 and K % plan.tile_k == 0 and N % plan.tile_n == 0)
     out_b = 4 if wide else 1
     hw = op_latency(op, accel)
-    mapping = Mapping(matmul_nest(M, K, N), (W, 1, W),
+    mapping = Mapping(nest_of(op), (W, 1, W),
                       (plan.tile_m, plan.tile_k, plan.tile_n), ("m", "n", "k"))
-    kernel = evaluate(mapping, mapping.nest, accel, precisions=(1, 1, out_b))
+    kernel = evaluate(mapping, accel)
 
     residency, stationarity = _named_dram_gaps(M, K, N, plan, accel)
     gap = hw.traffic["dram"] - kernel.traffic["dram"]

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +67,29 @@ def test_nest_rejects_bad_dims():
         LoopNest((("a", 8), ("b", 8), ("c", 8)))
 
 
+@pytest.mark.parametrize("precisions", [(1, 1), (1, 1, 1, 1), (1, 0, 1), (1, 1, -4),
+                                        (1.0, 1, 1), (True, 1, 1), ("1", 1, 1), [1, 1, 1]],
+                         ids=repr)
+def test_nest_rejects_bad_widths(precisions):
+    with pytest.raises(ValueError, match="precisions"):
+        LoopNest(SMALL.dims, precisions=precisions)
+
+
 def test_nest_of():
     op = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(4, 5, 6))
     assert nest_of(op).extents == (4, 5, 6)
+    assert nest_of(op).precisions == (1, 1, 1)
     conv = resnet50_ops()[0]
     assert nest_of(conv).is_conv
+    assert nest_of(conv).precisions == (1, 1, 1)
+    # the widths hwmodel costs the op at: operands by position, a
+    # Softmax/LayerNorm producer draining at accumulator width
+    wide = OperatorSpec("t", OperatorClass.ActToAct, Matmul(4, 5, 6),
+                        in_precisions=(2, 1), out_precision=2, pre_nonlinear=True)
+    assert nest_of(wide).precisions == (2, 1, 4)
+    assert nest_of(replace(wide, pre_nonlinear=False)).precisions == (2, 1, 2)
+    assert nest_of(replace(wide, in_precisions=(2,))).precisions == (2, 2, 4)
+    assert nest_of(replace(conv, in_precisions=(1, 2), out_precision=2)).precisions == (1, 2, 2)
     from tfperf.workload import Elementwise
     with pytest.raises(TypeError):
         nest_of(OperatorSpec("t", OperatorClass.Nonlinear, Elementwise(8, 1, 1)))
@@ -92,12 +111,11 @@ def test_named_nests_registry(accel):
 # ---------------------------------------------------------------------------
 
 def test_validate_clean(accel):
-    assert validate(_mapping(), SMALL, accel) == []
+    assert validate(_mapping(), accel) == []
 
 
 def test_validate_each_violation(accel):
     cases = {
-        "different nest": _mapping(nest=matmul_nest(8, 8, 16)),
         "spatial not divisor of W": _mapping(spatial=(3, 1, 1), tiles=(9, 8, 8)),
         "spatial on non-spatial dim": _mapping(spatial=(1, 2, 1)),
         "tile not multiple of spatial": _mapping(spatial=(8, 1, 1), tiles=(4, 8, 8)),
@@ -113,46 +131,51 @@ def test_validate_each_violation(accel):
         "zero tile": _mapping(tiles=(8, 0, 8)),
     }
     for label, m in cases.items():
-        assert validate(m, SMALL, accel), label
+        assert validate(m, accel), label
         with pytest.raises(InfeasibleConfigError):
-            evaluate(m, SMALL, accel)
+            evaluate(m, accel)
 
 
 def test_validate_stops_at_length_mismatch(accel):
-    assert validate(_mapping(spatial=(1, 1), tiles=(8, 8)), SMALL, accel) == [
+    assert validate(_mapping(spatial=(1, 1), tiles=(8, 8)), accel) == [
         "spatial has 2 entries for 3 dims", "tiles has 2 entries for 3 dims"]
     # a zero factor is reported once, with no padding check on its dim
-    assert validate(_mapping(spatial=(0, 1, 1)), SMALL, accel) == [
+    assert validate(_mapping(spatial=(0, 1, 1)), accel) == [
         "spatial factor 0 on m not a divisor of W=16"]
 
 
 def test_validate_capacity_violations():
     tiny = AcceleratorConfig(scratchpad_bytes=64, accumulator_bytes=64)
-    msgs = validate(_mapping(), SMALL, tiny)
+    msgs = validate(_mapping(), tiny)
     assert any("operand-1" in s for s in msgs)
     assert any("operand-2" in s for s in msgs)
     assert any("output" in s for s in msgs)
     # precision scaling pushes a fitting tile over the edge
     edge = AcceleratorConfig(scratchpad_bytes=128, accumulator_bytes=1024)
-    assert validate(_mapping(), SMALL, edge) == []
-    assert validate(_mapping(), SMALL, edge, precisions=(2, 1, 1)) != []
+    assert validate(_mapping(), edge) == []
+    assert validate(_mapping(nest=replace(SMALL, precisions=(2, 1, 1))), edge) != []
     # conv: weights (operand 1, 288 B) scale with w_b, the halo'd input
     # (operand 2, 144 B) with act_b
     conv = conv_nest(Conv(3, 4, 8, 4, 4))
-    m = Mapping(nest=conv, spatial=(1,) * 6, tiles=conv.extents, dram_perm=conv.names)
     roomy = AcceleratorConfig(scratchpad_bytes=600, accumulator_bytes=1024)
-    assert validate(m, conv, roomy, precisions=(2, 1, 1)) == []
-    assert [s[:9] for s in validate(m, conv, roomy, precisions=(3, 1, 1))] == ["operand-2"]
-    assert [s[:9] for s in validate(m, conv, roomy, precisions=(1, 2, 1))] == ["operand-1"]
+
+    def conv_msgs(precisions):
+        nest = replace(conv, precisions=precisions)
+        m = Mapping(nest=nest, spatial=(1,) * 6, tiles=nest.extents, dram_perm=nest.names)
+        return [s[:9] for s in validate(m, roomy)]
+
+    assert conv_msgs((2, 1, 1)) == []
+    assert conv_msgs((3, 1, 1)) == ["operand-2"]
+    assert conv_msgs((1, 2, 1)) == ["operand-1"]
 
 
 def test_evaluate_rejects_invalid(accel):
     with pytest.raises(InfeasibleConfigError):
-        evaluate(_mapping(tiles=(3, 8, 8)), SMALL, accel)
+        evaluate(_mapping(tiles=(3, 8, 8)), accel)
 
 
 def test_evaluate_report_is_read_only(accel):
-    rep = evaluate(_mapping(), SMALL, accel)
+    rep = evaluate(_mapping(), accel)
     with pytest.raises(TypeError):
         rep.traffic["dram"] = 0.0
     assert rep.traffic == {"dram": 192.0}
@@ -165,20 +188,23 @@ def test_evaluate_report_is_read_only(accel):
 def test_traffic_no_reloads(accel):
     # single k block, operands streamed once, narrow output
     m = _mapping(spatial=(1, 1, 1), tiles=(4, 8, 8), dram_perm=("k", "m", "n"))
-    assert evaluate(m, SMALL, accel).traffic["dram"] == 64 + 64 + 64
+    assert evaluate(m, accel).traffic["dram"] == 64 + 64 + 64
+    # the nest's widths scale each operand's and the output's bytes
+    wide = replace(m, nest=replace(SMALL, precisions=(2, 1, 4)))
+    assert evaluate(wide, accel).traffic["dram"] == 2 * 64 + 64 + 4 * 64
 
 
 def test_traffic_output_spill(accel):
     # k tiled and m outside it: partials drain wide once per k block
     m = _mapping(tiles=(4, 4, 8), dram_perm=("k", "n", "m"))
-    got = evaluate(m, SMALL, accel).traffic["dram"]
+    got = evaluate(m, accel).traffic["dram"]
     assert got == 64 + 64 + 8 * 8 * 4 * 2
 
 
 def test_traffic_irrelevant_loop_reload(accel):
     # n above the live m loop forces the m*k operand to stream F_n times
     m = _mapping(tiles=(4, 8, 4), dram_perm=("n", "m", "k"))
-    got = evaluate(m, SMALL, accel).traffic["dram"]
+    got = evaluate(m, accel).traffic["dram"]
     assert got == 2 * 64 + 64 + 64
 
 
@@ -190,7 +216,7 @@ def test_random_mapping_valid_and_deterministic(accel):
     nest = NAMED_NESTS["bert.mha"]
     for seed in range(200):
         m = random_mapping(nest, accel, seed)
-        assert validate(m, nest, accel) == [], seed
+        assert validate(m, accel) == [], seed
     a = random_mapping(nest, accel, 42)
     b = random_mapping(nest, accel, 42)
     assert a == b
@@ -340,7 +366,7 @@ def test_exhaustive_best_frozen(accel):
     assert rep.latency == 64.0
     assert rep.energy == 42368.0
     assert rep.edp == 2711552.0
-    assert validate(m, SMALL, accel) == []
+    assert validate(m, accel) == []
 
 
 def test_exhaustive_lower_bounds_sampling(accel):
@@ -389,7 +415,7 @@ def test_exhaustive_and_evaluate_match_goldens(case):
     _assert_matches_golden(*exhaustive_best(nest, accel), case["exhaustive"])
     for want in case["random"]:
         m = random_mapping(nest, accel, want["seed"])
-        _assert_matches_golden(m, evaluate(m, nest, accel), want)
+        _assert_matches_golden(m, evaluate(m, accel), want)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +444,7 @@ def test_random_mapping_always_valid(seed):
     accel = accel_preset("gemmini-baseline")
     nest = NAMED_NESTS["bert.qk"]
     m = random_mapping(nest, accel, seed)
-    assert validate(m, nest, accel) == []
+    assert validate(m, accel) == []
 
 
 @settings(max_examples=20, deadline=None)
