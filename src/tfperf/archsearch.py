@@ -3,8 +3,10 @@
 Searches encoder architectures over layer count, model dim, and per-layer
 head count / FFN dim. Each candidate is costed analytically on one
 accelerator (sum of per-operator latency and energy, sequence length
-`SEQ_LEN`) through a cost cache that memoizes whole encoder layers and,
-below them, operator shapes; quality uses a parameter-count proxy. Evolution
+`SEQ_LEN`) through a cost cache that keeps a table of encoder-layer costs,
+built from three smaller tables of layer parts and, below them, operator
+shapes; each round's candidates are costed in one array pass over the layer
+table. Quality uses a parameter-count proxy. Evolution
 retains the Pareto front (maximize quality, minimize EDP), kept with one
 sorted sweep, and refills the population by mutating retained members
 round-robin.
@@ -155,15 +157,27 @@ def candidate_ops(c: Candidate) -> list[OperatorSpec]:
     return ops
 
 
+# A layer's operators in three parts, each keyed by what it depends on:
+# wq, wk, wv, wout and add_ln1 on d; qk, softmax and sv on (d, h); w1, gelu,
+# w2 and add_ln2 on (d, d_FFN). Each part starts with a matmul, so no
+# wide-input flag crosses a part boundary.
+_PARTS = ((0, 1, 2, 6, 7), (3, 4, 5), (8, 9, 10, 11))
+_PART_COLUMNS = _PARTS[0] + _PARTS[1] + _PARTS[2]  # where each part's pairs go in a layer row
+
+
 class CostCache(OpCostTable):
-    """Lookup tables over operator and encoder-layer costs on one
+    """Lookup tables over operator, layer-part and encoder-layer costs on one
     accelerator (transparent).
 
     The operator table is hwmodel's `OpCostTable`: `cost` memoizes one
     operator's report by shape, and `hits` and `misses` count these
-    operator lookups. `layers` is the table `candidate_edp` keeps per
-    encoder layer: (d, h, d_FFN) maps to the layer's (latency, energy)
-    pairs in operator order.
+    operator lookups. Above it, each of the three parts of a layer (see
+    `_PARTS`) keeps its operators' (latency, energy) pairs per key, so an
+    operator is looked up only when its part is first built. `layers` maps
+    (d, h, d_FFN) to a row of the layer tables `costs[0]` (latency) and
+    `costs[1]` (energy), which hold a layer's 12 operator costs in operator
+    order; row 0 is all zeros, and the tables grow by doubling. A cache
+    lives for one search.
     """
 
     # bound on this class too, so that wrapping the search's operator
@@ -173,37 +187,103 @@ class CostCache(OpCostTable):
     def __init__(self, accel: AcceleratorConfig):
         super().__init__(accel)
         self.layers: dict = {}
+        self.costs = np.zeros((2, 64, len(_PART_COLUMNS)))
+        self._parts: tuple[dict, dict, dict] = ({}, {}, {})
+        self._configs: dict = {}  # (N, d, d_FFN[0]) -> checked ModelConfig
+
+    def _config(self, c: Candidate) -> ModelConfig:
+        key = (c.N, c.d, c.d_FFN[0])
+        cfg = self._configs.get(key)
+        if cfg is None:
+            cfg = self._configs[key] = _encoder_config(c)
+        return cfg
+
+    def _layer(self, cfg: ModelConfig, i: int, key: tuple) -> int:
+        """The `costs` row of layer `i` of a candidate built on `cfg`, whose
+        (d, h, d_FFN) is `key`; a new row on the first call per key.
+
+        Only the operators of parts not yet built are costed, in operator
+        order, so a layer that fails raises at its first failing operator,
+        under that operator's name. Nothing of a failed layer is stored.
+        """
+        d, h, f = key
+        part_keys = (d, (d, h), (d, f))
+        missing = [p for p in range(3) if part_keys[p] not in self._parts[p]]
+        if missing:
+            ops = layer_ops_encoder(cfg, i, heads=h, ffn_dim=f)
+            wide = _wide_flags(ops)
+            reps = {j: self.cost(ops[j], wide_inputs=wide[j])
+                    for j in sorted(j for p in missing for j in _PARTS[p])}
+            for p in missing:
+                self._parts[p][part_keys[p]] = [(reps[j].latency, reps[j].energy)
+                                                for j in _PARTS[p]]
+        row = len(self.layers) + 1
+        if row == self.costs.shape[1]:
+            self.costs = np.concatenate([self.costs, np.zeros_like(self.costs)], axis=1)
+        self.costs[:, row, _PART_COLUMNS] = np.transpose(
+            [pair for table, k in zip(self._parts, part_keys) for pair in table[k]])
+        self.layers[key] = row
+        return row
+
+
+def _accumulate(values: np.ndarray) -> np.ndarray:
+    """Totals over the last axis, each added strictly left to right like
+    `x += v` in a loop: `np.add.accumulate` adds in order, where
+    `ndarray.sum` adds pairwise and the built-in `sum` compensates (from
+    Python 3.12)."""
+    return np.cumsum(values, axis=-1)[..., -1]
+
+
+def _cost_round(cands: list[Candidate], cache: CostCache):
+    """Costs candidates in one array pass over the cache's layer table.
+
+    Returns (costed candidates, their EDPs, (candidate, error) pairs), each
+    in the order of `cands`. A candidate whose config check or layer
+    costing raises `ConfigError` or `ValueError` is set aside with its error,
+    and the others are still costed. Each costed candidate's layers become
+    one row of layer-table indices, padded with the zero row; its total
+    latency and energy then add up the per-operator costs in operator order,
+    the same sums as over `candidate_ops`, and adding the padding's zeros
+    after them leaves those totals as they are.
+    """
+    layers = cache.layers
+    kept, rows, errors = [], [], []
+    for c in cands:
+        try:
+            cfg = cache._config(c)
+            ids = []
+            for i in range(c.N):
+                key = (c.d, c.h[i], c.d_FFN[i])
+                row = layers.get(key)
+                ids.append(cache._layer(cfg, i, key) if row is None else row)
+        except (ConfigError, ValueError) as exc:
+            errors.append((c, exc))
+            continue
+        kept.append(c)
+        rows.append(ids)
+    if not rows:
+        return kept, [], errors
+    width = max(map(len, rows))
+    index = np.array([ids + [0] * (width - len(ids)) for ids in rows])
+    lat, energy = _accumulate(cache.costs[:, index].reshape(2, len(rows), -1))
+    return kept, (lat * energy).tolist(), errors
 
 
 def candidate_edp(c: Candidate, cache: CostCache) -> float:
     """Total latency x total energy over the candidate's encoder operators,
-    on the cache's accelerator.
+    on the cache's accelerator: a round of one candidate."""
+    _, edps, errors = _cost_round([c], cache)
+    if errors:
+        raise errors[0][1]
+    return edps[0]
 
-    A layer's operators depend only on (d, h_i, d_FFN_i), and no wide-input
-    flag crosses a layer boundary (each layer starts with a matmul), so each
-    layer's per-operator costs are computed once and then added up in
-    operator order: the same sums as over `candidate_ops`.
-    """
-    cfg = _encoder_config(c)
-    layers = cache.layers
-    lat = 0.0
-    energy = 0.0
-    for i in range(c.N):
-        key = (c.d, c.h[i], c.d_FFN[i])
-        pairs = layers.get(key)
-        if pairs is None:
-            ops = layer_ops_encoder(cfg, i, heads=c.h[i], ffn_dim=c.d_FFN[i])
-            reps = [cache.cost(op, wide_inputs=w)
-                    for op, w in zip(ops, _wide_flags(ops))]
-            pairs = layers[key] = tuple((r.latency, r.energy) for r in reps)
-        for op_lat, op_energy in pairs:
-            lat += op_lat
-            energy += op_energy
-    return lat * energy
+
+def _scored(c: Candidate, edp: float) -> Candidate:
+    return Candidate(c.N, c.d, c.h, c.d_FFN, quality_proxy(c), edp)
 
 
 def evaluate(c: Candidate, cache: CostCache) -> Candidate:
-    return replace(c, quality=quality_proxy(c), edp=candidate_edp(c, cache))
+    return _scored(c, candidate_edp(c, cache))
 
 
 @dataclass(frozen=True)
@@ -272,12 +352,9 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
     discarded: list = []
     front = ParetoFront(())
     for rnd in range(1, rounds + 1):
-        scored = []
-        for c in population:
-            try:
-                scored.append(evaluate(c, cache))
-            except (ConfigError, ValueError) as exc:
-                discarded.append((c.encode(), str(exc)))
+        kept, edps, errors = _cost_round(population, cache)
+        discarded.extend((c.encode(), str(exc)) for c, exc in errors)
+        scored = list(map(_scored, kept, edps))
         front = pareto(list(front.points) + scored)
         if not front.points:  # every candidate so far was discarded: none to mutate
             raise InfeasibleConfigError(

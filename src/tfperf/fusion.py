@@ -24,7 +24,8 @@ from enum import Enum
 from .hwmodel import (_ACCUM_BYTES, _STANDALONE_PASSES, AcceleratorConfig, TilingPlan,
                       _tile_grid, greedy_tiles, op_latency)
 from .mapspace import _divisors
-from .workload import Elementwise, Matmul, OperatorSpec, layer_ops_encoder, model_preset
+from .workload import (Elementwise, Matmul, OperatorSpec, _in_bytes, layer_ops_encoder,
+                       model_preset)
 
 PAIR_NAMES = ("qk-softmax", "wout-ln", "ffn2-ln")
 
@@ -99,7 +100,7 @@ def fused_constraints(pair: FusionPair, accel: AcceleratorConfig) -> TilingPlan:
     """Tiling forced by accumulator residency of the normalization axis."""
     pair.check()
     k = pair.producer.kind
-    act_b = max(pair.producer.in_precisions)
+    in1_b, in2_b = _in_bytes(pair.producer)
     half = accel.scratchpad_bytes // 2
     acc_half = accel.accumulator_bytes // 2
     full_ext = k.N if pair.reduction_dim == "n" else k.M
@@ -115,7 +116,7 @@ def fused_constraints(pair: FusionPair, accel: AcceleratorConfig) -> TilingPlan:
 
     # reduction tile: both scratchpad operands must hold a k-slice
     t_m, t_n = (t_block, full_ext) if pair.reduction_dim == "n" else (full_ext, t_block)
-    cap = min(half // (t_m * act_b), half // (t_n * act_b))
+    cap = min(half // (t_m * in1_b), half // (t_n * in2_b))
     if cap < 1:
         raise FusionInfeasibleError(
             f"full {full_ext}-wide axis leaves no room for a k-slice in the "

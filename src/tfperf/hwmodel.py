@@ -18,8 +18,10 @@ Execution model:
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Sequence
@@ -36,6 +38,7 @@ from .workload import (
     OperatorClass,
     OperatorSpec,
     _a2a_static,
+    _in_bytes,
     category_of,
     check_keys,
     flops,
@@ -181,11 +184,6 @@ _ACCUM_BYTES = 4
 def _pad(x: int, w: int) -> int:
     """x rounded up to a multiple of w (elementwise on integer arrays too)."""
     return ((x + w - 1) // w) * w
-
-
-def _in_bytes(op: OperatorSpec) -> tuple[int, int]:
-    p = op.in_precisions
-    return (p[0], p[1]) if len(p) > 1 else (p[0], p[0])
 
 
 def _out_bytes(op: OperatorSpec) -> int:
@@ -474,10 +472,17 @@ def latency_breakdown(cfg: ModelConfig, accel: AcceleratorConfig) -> dict:
     return by_cat
 
 
+def _left_sum(values) -> float:
+    """The float total of `values`, added left to right as `x += v` in a
+    loop. The built-in `sum` compensates float additions from Python 3.12
+    on, which would move the last digits of a total with the interpreter."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def costs_intensity(costs: Sequence[tuple[OperatorSpec, CostReport]]) -> float:
     """Total FLOPs over total DRAM traffic of `model_costs` output."""
     f = sum(flops(op) for op, _ in costs)
-    d = sum(rep.traffic["dram"] for _, rep in costs)
+    d = _left_sum(rep.traffic["dram"] for _, rep in costs)
     return f / d
 
 
@@ -489,16 +494,16 @@ def model_nonideal_intensity(cfg: ModelConfig, accel: AcceleratorConfig) -> floa
 def nonlinear_latency_share(cfg: ModelConfig, accel: AcceleratorConfig) -> float:
     """Fraction of total cycles spent in nonlinear/pooling vector work."""
     costs = model_costs(cfg, accel)
-    total = sum(rep.latency for _, rep in costs)
-    nl = sum(rep.latency for op, rep in costs
-             if op.op_class in (OperatorClass.Nonlinear, OperatorClass.Pooling))
+    total = _left_sum(rep.latency for _, rep in costs)
+    nl = _left_sum(rep.latency for op, rep in costs
+                   if op.op_class in (OperatorClass.Nonlinear, OperatorClass.Pooling))
     return nl / total
 
 
 def matmul_latency(cfg: ModelConfig, accel: AcceleratorConfig) -> float:
     """Total cycles spent in matmul-class operators (projections + act-to-act)."""
-    return sum(rep.latency for op, rep in model_costs(cfg, accel)
-               if isinstance(op.kind, (Matmul, Conv, MatvecSeries)))
+    return _left_sum(rep.latency for op, rep in model_costs(cfg, accel)
+                     if isinstance(op.kind, (Matmul, Conv, MatvecSeries)))
 
 
 def memory_split_sweep(cfg: ModelConfig, accel: AcceleratorConfig, total_kb: int):
@@ -540,7 +545,7 @@ def memory_split_sweep(cfg: ModelConfig, accel: AcceleratorConfig, total_kb: int
         except InfeasibleConfigError:
             rows.append((spad_kb, acc_kb, math.inf, False))
         else:
-            rows.append((spad_kb, acc_kb, sum(map(latency.__getitem__, slots)), True))
+            rows.append((spad_kb, acc_kb, _left_sum(map(latency.__getitem__, slots)), True))
     feasible = [i for i, row in enumerate(rows) if row[3]]
     if not feasible:
         raise InfeasibleConfigError(f"no feasible split of {total_kb} kB")

@@ -21,9 +21,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _kernels
-from .hwmodel import (AcceleratorConfig, CostReport, InfeasibleConfigError, _in_bytes,
-                      _out_bytes, _pad)
-from .workload import Conv, Matmul, OperatorSpec
+from .hwmodel import AcceleratorConfig, CostReport, InfeasibleConfigError, _out_bytes, _pad
+from .workload import Conv, Matmul, OperatorSpec, _in_bytes
 
 MATMUL_DIMS = ("m", "k", "n")
 CONV_DIMS = ("oc", "ic", "kh", "kw", "oh", "ow")

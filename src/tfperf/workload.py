@@ -170,10 +170,16 @@ def _a2a_static(k: MatvecSeries) -> int:
     return k.cols if k.rows == k.iterations else k.rows
 
 
+def _in_bytes(op: OperatorSpec) -> tuple[int, int]:
+    """The widths of the operator's first and second operand: an operator
+    with one input width reads both at it."""
+    p = op.in_precisions
+    return (p[0], p[1]) if len(p) > 1 else (p[0], p[0])
+
+
 def mops(op: OperatorSpec) -> int:
     k = op.kind
-    in1 = op.in_precisions[0]
-    in2 = op.in_precisions[1] if len(op.in_precisions) > 1 else in1
+    in1, in2 = _in_bytes(op)
     out = op.out_precision
     if isinstance(k, Matmul):
         return (k.M * k.K * in1 + k.K * k.N * in2 + k.M * k.N * out) * op.repeat

@@ -16,6 +16,8 @@ from tfperf.archsearch import (
     CostCache,
     ParetoFront,
     SearchSpace,
+    _accumulate,
+    _cost_round,
     baseline,
     candidate_edp,
     candidate_ops,
@@ -211,21 +213,73 @@ def _flat_edp(c, accel):
 def _candidates(draw, space=DEFAULT_SPACE):
     n = draw(st.sampled_from(space.layer_counts))
     genes = st.lists(st.sampled_from(space.heads_per_layer), min_size=n, max_size=n)
-    # few FFN choices, so that layers repeat within and across candidates
+    # few model dims and FFN choices, so that layers and their parts repeat
+    # within and across candidates
     ffns = st.lists(st.sampled_from(space.ffn_dims_per_layer[:4]), min_size=n, max_size=n)
-    return Candidate(n, draw(st.sampled_from(space.model_dims)),
+    return Candidate(n, draw(st.sampled_from(space.model_dims[:3])),
                      tuple(draw(genes)), tuple(draw(ffns)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(_candidates(), min_size=1, max_size=3))
-def test_layer_memo_matches_flat_sum(cands):
-    # one cache per accelerator, each shared by every candidate
+@given(st.lists(_candidates(), min_size=1, max_size=4), st.data())
+def test_layer_memo_matches_flat_sum(cands, data):
+    # one round of mixed N with repeated candidates; one cache per
+    # accelerator, shared by the round and by costing one candidate at a time
+    round_ = cands + data.draw(st.lists(st.sampled_from(cands), max_size=3))
     for a in (accel_preset("gemmini-baseline"), accel_preset("gemmini-tuned")):
+        want = {c: _flat_edp(c, a) for c in round_}
         cache = CostCache(a)
+        kept, edps, errors = _cost_round(round_, cache)
+        assert kept == round_ and not errors
+        assert edps == [want[c] for c in round_]  # bit for bit
         for c in cands:
-            assert candidate_edp(c, cache) == _flat_edp(c, a)
+            assert candidate_edp(c, cache) == want[c]
         assert cache.misses == len(cache)
+
+
+_CONFIG_ERROR = Candidate(3, 0, (4, 4, 4), (768, 768, 768))  # d = 0 fails the config check
+
+
+@pytest.mark.parametrize("a", [accel_preset("gemmini-baseline"),
+                               # no 16x16 tile of a 4-byte output fits: every layer fails
+                               AcceleratorConfig(accumulator_bytes=1024)],
+                         ids=["baseline", "small-accumulator"])
+def test_round_discards_like_costing_one_at_a_time(a):
+    small = Candidate(3, 384, (4, 6, 4), (768, 896, 768))
+    round_ = [T11, _CONFIG_ERROR, small, T11, _CONFIG_ERROR, baseline(), small]
+    want_kept, want_edps, want_errors = [], [], []
+    for c in round_:
+        try:
+            edp = _flat_edp(c, a)
+        except (ConfigError, ValueError) as exc:
+            want_errors.append((c, str(exc)))
+        else:
+            want_kept.append(c)
+            want_edps.append(edp)
+    kept, edps, errors = _cost_round(round_, CostCache(a))
+    assert (kept, edps) == (want_kept, want_edps)
+    assert [(c, str(exc)) for c, exc in errors] == want_errors
+    assert len(errors) == (2 if a.accumulator_bytes > 1024 else len(round_))
+
+
+def test_accumulate_adds_left_to_right():
+    # 1e16 and fifteen 1.0 addends, where one ulp is 2: a left fold rounds
+    # each addend away, numpy's pairwise sum adds some of them together
+    # first, and a compensated sum keeps them all
+    row = [1e16] + [1.0] * 15
+    left = 0.0
+    for v in row:
+        left += v
+    pairwise = float(np.sum(row))
+    assert len({left, pairwise, math.fsum(row)}) == 3
+    values = np.array([[row, row[::-1]], [row[::-1], row]])
+    got = _accumulate(values)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == got[1, 1] == left
+    reversed_left = 0.0
+    for v in row[::-1]:
+        reversed_left += v
+    assert got[0, 1] == got[1, 0] == reversed_left
 
 
 def test_edp_monotone_in_architecture_size(accel):

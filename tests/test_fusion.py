@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 
 from tfperf import fusion, workload
-from tfperf.workload import (Matmul, MatvecSeries, OperatorClass, OperatorSpec, encoder_ops,
-                             model_preset)
+from tfperf.workload import (Elementwise, Matmul, MatvecSeries, OperatorClass, OperatorSpec,
+                             encoder_ops, mops, model_preset)
 from tfperf.hwmodel import (AcceleratorConfig, accel_preset, greedy_tiles, model_costs,
                             op_latency)
 from tfperf.mapspace import Mapping, nest_of, validate
@@ -129,6 +129,19 @@ def test_constraints_validate_as_mapping():
                         tiles=(c.tile_m, c.tile_k, c.tile_n),
                         dram_perm=(pair.block_dim, "k", pair.reduction_dim))
             assert validate(m, accel) == [], (name, kb)
+
+
+def test_constraints_size_each_operand_at_its_own_width():
+    # a 2-byte first operand and a 1-byte second one: the full 1024-wide n
+    # tile bounds the k-slice at 1 byte per element, not at the wider 2
+    producer = OperatorSpec("p", OperatorClass.ActToAct, Matmul(64, 4096, 1024),
+                            in_precisions=(2, 1), pre_nonlinear=True)
+    consumer = OperatorSpec("c", OperatorClass.Nonlinear, Elementwise(64 * 1024, 5, 1))
+    c = fused_constraints(FusionPair(producer, consumer, "n"), accel_preset("gemmini-baseline"))
+    assert (c.tile_m, c.tile_k, c.tile_n) == (8, 128, 1024)
+    # the byte count and the loop nest read the same two widths
+    assert mops(producer) == 64 * 4096 * 2 + 4096 * 1024 * 1 + 64 * 1024 * 1
+    assert nest_of(producer).precisions == (2, 1, 4)
 
 
 def test_constraints_infeasible_tiny_accumulator():

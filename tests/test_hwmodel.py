@@ -448,6 +448,13 @@ def test_latency_breakdown_categories_follow_mode(accel):
     assert enc["total"] == pytest.approx(sum(v for k, v in enc.items() if k != "total"))
 
 
+def test_whole_model_totals_add_left_to_right(accel, bert512):
+    # from Python 3.12 the built-in sum compensates float additions, which
+    # would give 1.0 and 357308416.0 here
+    assert hwmodel._left_sum([0.1] * 10) == 0.9999999999999999
+    assert matmul_latency(bert512, accel) == 357308416.00000006
+
+
 def test_nonlinear_latency_share_resnet(accel):
     res = model_preset("resnet50", 512)
     share = nonlinear_latency_share(res, accel)
