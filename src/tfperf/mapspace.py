@@ -12,6 +12,7 @@ reduction loop iterates above an iterating output loop.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -181,7 +182,7 @@ def validate(m: Mapping, accel: AcceleratorConfig) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Batch sampling (array-of-mappings form shared with the kernels)
+# Batch form (column arrays shared with the kernels)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -198,7 +199,7 @@ def _perm_table(ndims: int) -> np.ndarray:
 
 
 class _Batch:
-    """Column arrays for n sampled mappings of one nest."""
+    """Column arrays for n mappings of one nest."""
 
     def __init__(self, nest: LoopNest, n: int):
         self.nest = nest
@@ -213,50 +214,13 @@ class _Batch:
     def positions(self) -> np.ndarray:
         return _perm_table(len(self.nest.names))[self.perm_idx].T.copy()
 
-    def take(self, idx: np.ndarray) -> "_Batch":
-        """The mappings at columns idx, in that order."""
-        out = _Batch(self.nest, 0)
-        out.spatial = self.spatial[:, idx]
-        out.tiles = self.tiles[:, idx]
-        out.perm_idx = self.perm_idx[idx]
-        return out
 
-
-def _sample_batch(nest: LoopNest, accel: AcceleratorConfig, n: int,
-                  rng: np.random.Generator) -> _Batch:
-    """n candidate mappings drawn uniformly (not yet validity-filtered)."""
-    sdivs = _divisors(accel.pe_width)
-    sdiv_arr = np.array(sdivs, dtype=np.int64)
-    batch = _Batch(nest, n)
-    sdims = nest.spatial_dims
-    for d, (name, ext) in enumerate(nest.dims):
-        if name not in sdims:  # spatial factor 1: one tile choice set
-            choices = np.array(_tile_choices(ext, 1), dtype=np.int64)
-            batch.tiles[d] = choices[rng.integers(0, len(choices), size=n)]
-            continue
-        j = rng.integers(0, len(sdivs), size=n)
-        batch.spatial[d] = sdiv_arr[j]
-        # tile choice sets depend on the spatial factor: draw per factor in
-        # ascending order, then scatter each group to its rows in row order
-        drawn = np.empty(n, dtype=np.int64)
-        start = 0
-        for s, c in zip(sdivs, np.bincount(j, minlength=len(sdivs)).tolist()):
-            if c:
-                choices = np.array(_tile_choices(ext, s), dtype=np.int64)
-                drawn[start:start + c] = choices[rng.integers(0, len(choices), size=c)]
-                start += c
-        # a narrow key lets the stable sort use radix sort; the order is the same
-        key = j.astype(np.min_scalar_type(len(sdivs) - 1))
-        batch.tiles[d, np.argsort(key, kind="stable")] = drawn
-    nperm = math.factorial(len(nest.names))
-    batch.perm_idx = rng.integers(0, nperm, size=n)
-    return batch
-
-
-def _valid_mask(batch: _Batch, accel: AcceleratorConfig) -> np.ndarray:
+def _valid_mask(batch, accel: AcceleratorConfig) -> np.ndarray:
+    """Capacity check of a `_Batch` (one entry per mapping) or a `_Space`
+    (one entry per tile vector, in index order)."""
     f1, f2, facc = _footprints(batch.nest, batch.tiles)
     half = accel.scratchpad_bytes // 2
-    return (f1 <= half) & (f2 <= half) & (facc <= accel.accumulator_bytes // 2)
+    return ((f1 <= half) & (f2 <= half) & (facc <= accel.accumulator_bytes // 2)).ravel()
 
 
 def _eval_batch(batch: _Batch, accel: AcceleratorConfig):
@@ -282,20 +246,121 @@ def _dram_perms(names: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     return tuple(itertools.permutations(names))
 
 
-def _mapping_from_batch(batch: _Batch, i: int) -> Mapping:
-    return Mapping(
-        nest=batch.nest,
-        spatial=tuple(int(x) for x in batch.spatial[:, i]),
-        tiles=tuple(int(x) for x in batch.tiles[:, i]),
-        dram_perm=_dram_perms(batch.nest.names)[int(batch.perm_idx[i])],
-    )
-
-
 def _report(lat, en, dram, compute, accel: AcceleratorConfig) -> CostReport:
     """CostReport of one kernel row, compute-bound by hwmodel.op_latency's rule."""
     return CostReport(latency=float(lat), energy=float(en),
                       traffic=MappingProxyType({"dram": float(dram)}),
                       compute_bound=bool(compute >= dram / accel.dram_bw))
+
+
+# ---------------------------------------------------------------------------
+# Loop-order classes
+# ---------------------------------------------------------------------------
+# A kernel reads the DRAM loop order only through its loop-order rule, whose
+# result depends on which loops iterate (the bits of an iterating mask) and on
+# the order. Orders with the same result on a mask form a class, and every
+# order of a class costs the same on every tile vector with that mask.
+
+@lru_cache(maxsize=None)
+def _order_classes(ndims: int) -> tuple[np.ndarray, np.ndarray]:
+    """(code, rep): code[mask, p] is the class of DRAM perm p under iterating
+    mask `mask` (bit d set when dim d's loop iterates), the order rule's
+    booleans packed as bits; rep[mask, c] is the lowest perm of class c, or -1
+    if no perm reaches it. Shared by every caller, so read-only."""
+    pos = _perm_table(ndims)
+    masks = np.arange(1 << ndims)
+    it = [(masks[:, None] >> d & 1).astype(bool) for d in range(ndims)]
+    at = [pos[None, :, d] for d in range(ndims)]
+    bits = (_kernels.conv_order(it, at) if ndims == len(CONV_DIMS)
+            else _kernels.matmul_order(*it, *at))
+    code = sum(b.astype(np.int64) << i for i, b in enumerate(bits))
+    nclass = 1 << len(bits)
+    first_keys, first = np.unique(masks[:, None] * nclass + code, return_index=True)
+    rep = np.full((len(masks), nclass), -1, dtype=np.int64)
+    rep.flat[first_keys] = first % len(pos)
+    code.setflags(write=False)
+    rep.setflags(write=False)
+    return code, rep
+
+
+class _Space:
+    """Every tile vector of one nest at one PE width, numbered.
+
+    Per dim, a combo is one (spatial factor, tile size) pair: the spatial
+    factors in ascending order (1 alone on a non-spatial dim), each with its
+    tile choices in ascending order. Tile vector t is the mixed-radix number
+    of its dims' combo ids, dim 0 most significant, so a nest has
+    `mapspace_size / nd!` of them. `tiles` holds each dim's tile sizes on that
+    dim's axis, so `_footprints` broadcasts them over every tile vector.
+    """
+
+    def __init__(self, nest: LoopNest, pe_width: int):
+        self.nest = nest
+        nd = len(nest.dims)
+        self.spatial, self.tiles, self.groups, iterating = [], [], [], []
+        for d, (name, ext) in enumerate(nest.dims):
+            factors = _divisors(pe_width) if name in nest.spatial_dims else (1,)
+            choices = [_tile_choices(ext, s) for s in factors]
+            lens = [len(c) for c in choices]
+            # (first combo id, number of tile choices) per spatial factor
+            self.groups.append(tuple(zip(itertools.accumulate([0] + lens), lens)))
+            shape = [1] * nd
+            shape[d] = -1
+            tiles = np.concatenate(choices).reshape(shape)
+            padded = np.repeat([_pad(ext, s) for s in factors], lens).reshape(shape)
+            self.spatial.append(np.repeat(factors, lens))
+            self.tiles.append(tiles)
+            iterating.append(((padded // tiles > 1) << d).astype(np.uint8))
+        self.sizes = tuple(t.size for t in self.tiles)
+        self.size = math.prod(self.sizes)
+        # each tile vector's iterating mask (bit d set when dim d's loop
+        # iterates), in index order
+        self.iter_mask = functools.reduce(np.bitwise_or, iterating).ravel()
+
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """n (tile vector, DRAM perm) indices drawn uniformly per dim.
+
+        Per dim, a spatial dim first draws its factor's index; then the tile
+        choices are drawn per factor in ascending order and scattered to
+        their rows in row order. The perms come last."""
+        sdims = self.nest.spatial_dims
+        for d, name in enumerate(self.nest.names):
+            groups = self.groups[d]
+            if name not in sdims:  # spatial factor 1: one tile choice set
+                combo = rng.integers(0, groups[0][1], size=n)
+            else:
+                j = rng.integers(0, len(groups), size=n)
+                drawn = np.empty(n, dtype=np.int64)
+                start = 0
+                for (first, k), c in zip(groups, np.bincount(j, minlength=len(groups)).tolist()):
+                    if c:
+                        np.add(rng.integers(0, k, size=c), first, out=drawn[start:start + c])
+                        start += c
+                # a narrow key lets the stable sort use radix sort; the order is the same
+                combo = np.empty(n, dtype=np.int64)
+                combo[np.argsort(j.astype(np.min_scalar_type(len(groups) - 1)),
+                                 kind="stable")] = drawn
+            if d:  # mixed radix, dim 0 most significant
+                t *= self.sizes[d]
+                t += combo
+            else:
+                t = combo
+        return t, rng.integers(0, math.factorial(len(self.sizes)), size=n)
+
+    def batch(self, t: np.ndarray, perm_idx: np.ndarray) -> _Batch:
+        """The mappings (t[i], perm_idx[i]) as kernel columns."""
+        out = _Batch(self.nest, 0)
+        combos = np.unravel_index(t, self.sizes)
+        out.spatial = np.array([s[c] for s, c in zip(self.spatial, combos)])
+        out.tiles = np.array([x.ravel()[c] for x, c in zip(self.tiles, combos)])
+        out.perm_idx = perm_idx
+        return out
+
+    def mapping(self, t: int, perm_idx: int) -> Mapping:
+        b = self.batch(np.array([t]), np.array([perm_idx]))
+        return Mapping(nest=self.nest, spatial=tuple(b.spatial[:, 0].tolist()),
+                       tiles=tuple(b.tiles[:, 0].tolist()),
+                       dram_perm=_dram_perms(self.nest.names)[int(perm_idx)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +373,13 @@ _MAX_REJECTION_ROUNDS = 64
 def random_mapping(nest: LoopNest, accel: AcceleratorConfig, seed: int) -> Mapping:
     """One uniformly sampled valid mapping; deterministic per seed."""
     rng = np.random.default_rng(seed)
+    space = _Space(nest, accel.pe_width)
+    valid = _valid_mask(space, accel)
     for _ in range(_MAX_REJECTION_ROUNDS):
-        batch = _sample_batch(nest, accel, 64, rng)
-        ok = _valid_mask(batch, accel)
-        idx = np.flatnonzero(ok)
+        t, p = space.draw(64, rng)
+        idx = np.flatnonzero(valid[t])
         if len(idx):
-            return _mapping_from_batch(batch, int(idx[0]))
+            return space.mapping(t[idx[0]], p[idx[0]])
     raise InfeasibleConfigError(
         f"no valid mapping found for {nest.names} under the given capacities")
 
@@ -346,33 +412,55 @@ class MapspaceStats:
         return float(np.count_nonzero(self.relative_edps < k)) / self.n_samples
 
 
-def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int):
-    """(latency, energy) arrays over n uniformly sampled valid mappings."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    lats = np.empty(n, dtype=np.float64)
-    ens = np.empty(n, dtype=np.float64)
+def _class_batch(space: _Space, keys: np.ndarray) -> _Batch:
+    """One mapping per class key t * nclass + c: tile vector t with the
+    lowest DRAM perm of class c under t's iterating mask."""
+    _, rep = _order_classes(len(space.sizes))
+    t, c = np.divmod(keys, rep.shape[1])
+    return space.batch(t, rep[space.iter_mask[t], c])
+
+
+def _draw_valid(space: _Space, valid: np.ndarray, n: int, rng: np.random.Generator):
+    """(t, perm_idx) of n valid mappings: each rejection round draws
+    `max(need * 2, 1024)` mappings and keeps the first `need` valid ones."""
+    ts, ps = [], []
     got = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
         need = n - got
         if need == 0:
             break
-        batch = _sample_batch(nest, accel, max(need * 2, 1024), rng)
-        # the kernels are elementwise, so costing only the kept columns gives
-        # each of them the same latency and energy as costing the whole batch
-        keep = np.flatnonzero(_valid_mask(batch, accel))[:need]
-        if not len(keep):
-            continue
-        batch = batch.take(keep)  # drops the rest of the draw before the kernels run
-        lat, en = _eval_batch(batch, accel)[:2]
-        lats[got:got + len(keep)] = lat
-        ens[got:got + len(keep)] = en
+        t, p = space.draw(max(need * 2, 1024), rng)
+        keep = np.flatnonzero(valid[t])[:need]
+        ts.append(t[keep])
+        ps.append(p[keep])
         got += len(keep)
     if got < n:
         raise InfeasibleConfigError(
-            f"could not draw {n} valid mappings for {nest.names}")
-    return lats, ens
+            f"could not draw {n} valid mappings for {space.nest.names}")
+    return np.concatenate(ts), np.concatenate(ps)
+
+
+def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int):
+    """(latency, energy) arrays over n uniformly sampled valid mappings.
+
+    A mapping costs what its loop-order class costs on its tile vector, so
+    each distinct (tile vector, class) pair drawn is costed once."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    space = _Space(nest, accel.pe_width)
+    t, p = _draw_valid(space, _valid_mask(space, accel), n, np.random.default_rng(seed))
+    code, rep = _order_classes(len(nest.names))
+    nclass = rep.shape[1]
+    keys = t * nclass + code[space.iter_mask[t], p]
+    # distinct keys in ascending order, and each row's rank among them
+    seen = np.zeros(space.size * nclass, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(len(seen), dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    lat, en = _eval_batch(_class_batch(space, distinct), accel)[:2]
+    rows = rank[keys]
+    return lat[rows], en[rows]
 
 
 def stats_from_costs(lats: np.ndarray, ens: np.ndarray) -> MapspaceStats:
@@ -413,52 +501,36 @@ _EXHAUSTIVE_GUARD = 10 ** 7
 
 def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig):
     """Enumerate every valid mapping; return (Mapping, CostReport) of the
-    minimum-EDP one, ties broken lexicographically on the mapping encoding."""
+    minimum-EDP one, ties broken lexicographically on the mapping encoding.
+
+    Each (valid tile vector, reachable loop-order class) is costed once; only
+    the classes at the minimum EDP are expanded back to their DRAM perms."""
     size = mapspace_size(nest, accel)
     if size > _EXHAUSTIVE_GUARD:
         raise MapspaceTooLargeError(
             f"mapspace has ~{size} mappings, above the {_EXHAUSTIVE_GUARD} guard")
-    W = accel.pe_width
-    sdims = nest.spatial_dims
-    ndim = len(nest.names)
-    spatial_sets = [(_divisors(W) if name in sdims else (1,)) for name, _ in nest.dims]
-
-    best_key = None
-    best_mapping = None
-    best_row = None
-    nperm = math.factorial(ndim)
-    perms = _dram_perms(nest.names)
-    for svec in itertools.product(*spatial_sets):
-        tile_sets = [_tile_choices(ext, s) for (_, ext), s in zip(nest.dims, svec)]
-        tiles = np.array(list(itertools.product(*tile_sets)), dtype=np.int64)
-        if not len(tiles):
-            continue
-        nt = len(tiles)
-        batch = _Batch(nest, nt * nperm)
-        batch.spatial[:] = np.array(svec, dtype=np.int64)[:, None]
-        batch.tiles[:] = np.repeat(tiles.T, nperm, axis=1)
-        batch.perm_idx[:] = np.tile(np.arange(nperm, dtype=np.int64), nt)
-        ok = _valid_mask(batch, accel)
-        if not ok.any():
-            continue
-        rows = _eval_batch(batch, accel)
-        edp = rows[0] * rows[1]
-        edp[~ok] = np.inf
-        i = int(np.argmin(edp))
-        # lexicographic tie-break over equal-EDP candidates' encodings, whose
-        # spatial entry is the batch's own
-        ties = np.flatnonzero(edp == edp[i])
-        *_, i = min(zip(batch.tiles[:, ties].T.tolist(),
-                        [perms[p] for p in batch.perm_idx[ties].tolist()], ties.tolist()))
-        m = _mapping_from_batch(batch, i)
-        key = (float(edp[i]), m.encode())
-        if best_key is None or key < best_key:
-            best_key = key
-            best_mapping = m
-            best_row = tuple(col[i] for col in rows)
-    if best_mapping is None:
+    space = _Space(nest, accel.pe_width)
+    t = np.flatnonzero(_valid_mask(space, accel))
+    if not len(t):
         raise InfeasibleConfigError("no valid mapping in the exhaustive space")
-    return best_mapping, _report(*best_row, accel)
+    code, rep = _order_classes(len(nest.names))
+    nclass = rep.shape[1]
+    row, c = np.nonzero(rep[space.iter_mask[t]] >= 0)
+    t = t[row]  # one row per (valid tile vector, reachable class)
+    rows = _eval_batch(_class_batch(space, t * nclass + c), accel)
+    edp = rows[0] * rows[1]
+    tied = np.flatnonzero(edp == edp.min())
+    # expand the tied classes to their perms; the least encoding wins, with
+    # a DRAM perm ranked as a tuple of dim names
+    which, perm = np.nonzero(code[space.iter_mask[t[tied]]] == c[tied, None])
+    i = tied[which]
+    cand = space.batch(t[i], perm)
+    perms = _dram_perms(nest.names)
+    name_rank = np.empty(len(perms), dtype=np.int64)
+    name_rank[sorted(range(len(perms)), key=perms.__getitem__)] = np.arange(len(perms))
+    best = np.lexsort((name_rank[perm], *cand.tiles[::-1], *cand.spatial[::-1]))[0]
+    return (space.mapping(t[i[best]], perm[best]),
+            _report(*(col[i[best]] for col in rows), accel))
 
 
 def matched_mac_dims(conv: OperatorSpec, l: int) -> tuple[int, int]:

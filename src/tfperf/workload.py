@@ -255,6 +255,8 @@ def layer_ops_encoder(cfg: ModelConfig, layer: int, heads: int | None = None,
     d, l = cfg.model_dim, cfg.seq_len
     h = heads if heads is not None else cfg.num_heads
     dff = ffn_dim if ffn_dim is not None else cfg.ffn_dim
+    if not 1 <= h <= d:
+        raise ConfigError(f"layer {layer}: h={h} heads need 1 <= h <= d={d}")
     dh = d // h
     p = f"L{layer}."
     P, A2A, F = OperatorClass.MhaProjection, OperatorClass.ActToAct, OperatorClass.FfnProjection

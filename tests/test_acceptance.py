@@ -228,12 +228,14 @@ def test_criterion_07_mapspace_properties():
 
     # every accepted sample is a valid mapping
     rng = np.random.default_rng(0)
+    space = mapspace._Space(mha, ACCEL.pe_width)
+    valid = mapspace._valid_mask(space, ACCEL)
     seen = 0
     while seen < 100_000:
-        batch = mapspace._sample_batch(mha, ACCEL, 16384, rng)
-        ok = np.flatnonzero(mapspace._valid_mask(batch, ACCEL))
+        t, p = space.draw(16384, rng)
+        ok = np.flatnonzero(valid[t])
         for i in ok[: 100_000 - seen]:
-            m = mapspace._mapping_from_batch(batch, int(i))
+            m = space.mapping(t[i], p[i])
             assert validate(m, ACCEL) == []
         seen += min(len(ok), 100_000 - seen)
 

@@ -262,6 +262,22 @@ def test_round_discards_like_costing_one_at_a_time(a):
     assert len(errors) == (2 if a.accumulator_bytes > 1024 else len(round_))
 
 
+def test_more_heads_than_model_dim_is_a_config_error(accel):
+    # a head dim of 16 // 768 = 0 would divide by a zero tile; a round
+    # discards the candidate and keeps costing the others
+    wide = Candidate(3, 8, (16, 16, 16), (768,) * 3)
+    for cost in (candidate_edp, evaluate):
+        with pytest.raises(ConfigError, match="heads"):
+            cost(wide, CostCache(accel))
+    small = Candidate(3, 384, (4, 6, 4), (768, 896, 768))
+    kept, edps, errors = _cost_round([wide, small], CostCache(accel))
+    assert kept == [small] and edps == [candidate_edp(small, CostCache(accel))]
+    assert [c for c, _ in errors] == [wide]
+    # h == d and a non-divisor h are still costed
+    assert candidate_edp(Candidate(1, 16, (16,), (64,)), CostCache(accel)) > 0
+    assert candidate_edp(Candidate(1, 384, (5,), (768,)), CostCache(accel)) > 0
+
+
 def test_accumulate_adds_left_to_right():
     # 1e16 and fifteen 1.0 addends, where one ulp is 2: a left fold rounds
     # each addend away, numpy's pairwise sum adds some of them together

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,10 +13,16 @@ from hypothesis import given, settings, strategies as st
 from tfperf.workload import Conv, Matmul, OperatorClass, OperatorSpec, resnet50_ops
 from tfperf.hwmodel import AcceleratorConfig, InfeasibleConfigError, accel_preset
 from tfperf.mapspace import (
+    _Batch,
+    _Space,
+    _class_batch,
     _divisors,
+    _draw_valid,
+    _eval_batch,
+    _order_classes,
     _perm_table,
-    _sample_batch,
     _tile_choices,
+    _valid_mask,
     NAMED_NESTS,
     LoopNest,
     Mapping,
@@ -313,26 +320,178 @@ def _sample_batch_reference(nest, accel, n, rng):
     return spatial, tiles, perm_idx
 
 
+_NESTS = st.one_of(
+    st.sampled_from(sorted(NAMED_NESTS)).map(NAMED_NESTS.get),
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
+    .map(lambda t: matmul_nest(*t)),
+    st.tuples(st.integers(1, 3), st.integers(1, 24), st.integers(1, 24),
+              st.integers(1, 9), st.integers(1, 2))
+    .map(lambda t: conv_nest(Conv(t[0], t[1], t[2], t[3], t[3], stride=t[4]))))
+
+
 @settings(max_examples=60, deadline=None)
-@given(nest=st.one_of(
-           st.sampled_from(sorted(NAMED_NESTS)).map(NAMED_NESTS.get),
-           st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
-           .map(lambda t: matmul_nest(*t)),
-           st.tuples(st.integers(1, 3), st.integers(1, 24), st.integers(1, 24),
-                     st.integers(1, 9), st.integers(1, 2))
-           .map(lambda t: conv_nest(Conv(t[0], t[1], t[2], t[3], t[3], stride=t[4])))),
-       pe_width=st.sampled_from([1, 2, 7, 8, 12, 16, 32, 60, 5040]),
+@given(nest=_NESTS, pe_width=st.sampled_from([1, 2, 7, 8, 12, 16, 32, 60, 5040]),
        n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1))
 def test_sample_batch_matches_unique_mask_reference(nest, pe_width, n, seed):
     accel = AcceleratorConfig(pe_width=pe_width)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = _sample_batch(nest, accel, n, rng)
+    space = _Space(nest, pe_width)
+    assert space.size * math.factorial(len(nest.names)) == mapspace_size(nest, accel)
+    batch = space.batch(*space.draw(n, rng))
     spatial, tiles, perm_idx = _sample_batch_reference(nest, accel, n, ref_rng)
     assert np.array_equal(batch.spatial, spatial)
     assert np.array_equal(batch.tiles, tiles)
     assert np.array_equal(batch.perm_idx, perm_idx)
     # the same draws in the same order leave both generators in the same state
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _sample_batch(nest, accel, n, rng) -> _Batch:
+    """The mapping draw that held tile sizes per row: n candidate mappings
+    drawn uniformly (not yet validity-filtered)."""
+    sdivs = _divisors(accel.pe_width)
+    sdiv_arr = np.array(sdivs, dtype=np.int64)
+    batch = _Batch(nest, n)
+    sdims = nest.spatial_dims
+    for d, (name, ext) in enumerate(nest.dims):
+        if name not in sdims:
+            choices = np.array(_tile_choices(ext, 1), dtype=np.int64)
+            batch.tiles[d] = choices[rng.integers(0, len(choices), size=n)]
+            continue
+        j = rng.integers(0, len(sdivs), size=n)
+        batch.spatial[d] = sdiv_arr[j]
+        drawn = np.empty(n, dtype=np.int64)
+        start = 0
+        for s, c in zip(sdivs, np.bincount(j, minlength=len(sdivs)).tolist()):
+            if c:
+                choices = np.array(_tile_choices(ext, s), dtype=np.int64)
+                drawn[start:start + c] = choices[rng.integers(0, len(choices), size=c)]
+                start += c
+        batch.tiles[d, np.argsort(j, kind="stable")] = drawn
+    batch.perm_idx = rng.integers(0, math.factorial(len(nest.names)), size=n)
+    return batch
+
+
+def _take(batch, idx) -> _Batch:
+    out = _Batch(batch.nest, 0)
+    out.spatial, out.tiles, out.perm_idx = (batch.spatial[:, idx], batch.tiles[:, idx],
+                                            batch.perm_idx[idx])
+    return out
+
+
+def _kept_reference(nest, accel, n, rng) -> _Batch:
+    """sample_costs' rejection rounds over per-row tile arrays: each round
+    checks every drawn row's footprints and keeps the first `need` valid."""
+    kept = []
+    got = 0
+    for _ in range(64):
+        need = n - got
+        if need == 0:
+            break
+        batch = _sample_batch(nest, accel, max(need * 2, 1024), rng)
+        kept.append(_take(batch, np.flatnonzero(_valid_mask(batch, accel))[:need]))
+        got += kept[-1].perm_idx.size
+    if got < n:
+        raise InfeasibleConfigError("out of rounds")
+    out = _Batch(nest, 0)
+    out.spatial = np.concatenate([b.spatial for b in kept], axis=1)
+    out.tiles = np.concatenate([b.tiles for b in kept], axis=1)
+    out.perm_idx = np.concatenate([b.perm_idx for b in kept])
+    return out
+
+
+def _random_mapping_reference(nest, accel, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        batch = _sample_batch(nest, accel, 64, rng)
+        idx = np.flatnonzero(_valid_mask(batch, accel))
+        if len(idx):
+            i = int(idx[0])
+            return Mapping(nest, tuple(batch.spatial[:, i].tolist()),
+                           tuple(batch.tiles[:, i].tolist()),
+                           tuple(nest.names[d] for d in np.argsort(_perm_table(
+                               len(nest.names))[batch.perm_idx[i]]).tolist()))
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(nest=_NESTS, pe_width=st.sampled_from([1, 2, 7, 8, 12, 16, 32]),
+       capacity=st.sampled_from([(256 * 1024, 64 * 1024), (8192, 2048), (1024, 256),
+                                 (64, 64), (16, 16)]),
+       n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_costs_match_the_per_row_kernel(nest, pe_width, capacity, n, seed):
+    """Costing each drawn (tile vector, loop-order class) once gives every
+    row the bits the kernel gives it, after the same generator calls."""
+    accel = AcceleratorConfig(pe_width=pe_width, scratchpad_bytes=capacity[0],
+                              accumulator_bytes=capacity[1])
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    space = _Space(nest, pe_width)
+    try:
+        ref = _kept_reference(nest, accel, n, ref_rng)
+    except InfeasibleConfigError:
+        with pytest.raises(InfeasibleConfigError):
+            _draw_valid(space, _valid_mask(space, accel), n, rng)
+        with pytest.raises(InfeasibleConfigError):
+            sample_costs(nest, accel, n, seed)
+    else:
+        batch = space.batch(*_draw_valid(space, _valid_mask(space, accel), n, rng))
+        assert np.array_equal(batch.spatial, ref.spatial)
+        assert np.array_equal(batch.tiles, ref.tiles)
+        assert np.array_equal(batch.perm_idx, ref.perm_idx)
+        lat, en = sample_costs(nest, accel, n, seed)
+        want_lat, want_en = _eval_batch(ref, accel)[:2]
+        assert lat.tobytes() == want_lat.tobytes()
+        assert en.tobytes() == want_en.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    want = _random_mapping_reference(nest, accel, seed)
+    if want is None:
+        with pytest.raises(InfeasibleConfigError):
+            random_mapping(nest, accel, seed)
+    else:
+        assert random_mapping(nest, accel, seed) == want
+
+
+def test_order_classes_are_consistent():
+    for ndims, shape in ((3, (8, 8)), (6, (64, 16))):
+        code, rep = _order_classes(ndims)
+        assert _order_classes(ndims)[0] is code
+        assert code.shape == (1 << ndims, math.factorial(ndims))
+        assert rep.shape == shape
+        masks = np.arange(1 << ndims)[:, None]
+        # every perm's class has a representative, the lowest perm in it
+        r = rep[masks, code]
+        assert (r >= 0).all() and (r <= np.arange(code.shape[1])).all()
+        assert np.array_equal(code[masks, r], code)
+        # with no loop iterating, every order is one class
+        assert (code[0] == code[0, 0]).all()
+        with pytest.raises(ValueError):
+            code[0, 0] = 1
+
+
+def _small_nests(W):
+    r = random.Random(W)
+    nests = [matmul_nest(r.randint(1, 24), r.randint(1, 24), r.randint(1, 24))
+             for _ in range(4)]
+    nests += [conv_nest(Conv(r.choice((1, 3)), r.randint(1, 4), r.randint(1, 4),
+                             r.randint(1, 4), r.randint(1, 4), stride=r.randint(1, 2)))
+              for _ in range(2)]
+    return nests
+
+
+@pytest.mark.parametrize("W", [2, 4, 6, 8])
+def test_every_order_costs_what_its_class_representative_costs(W):
+    accel = AcceleratorConfig(pe_width=W)
+    for nest in _small_nests(W):
+        space = _Space(nest, W)
+        code, rep = _order_classes(len(nest.names))
+        nperm = code.shape[1]
+        for lo in range(0, space.size, max(1, 40_000 // nperm)):
+            t = np.repeat(np.arange(lo, min(space.size, lo + 40_000 // nperm)), nperm)
+            p = np.tile(np.arange(nperm), len(t) // nperm)
+            every = _eval_batch(space.batch(t, p), accel)
+            keys = t * rep.shape[1] + code[space.iter_mask[t], p]
+            for got, want in zip(_eval_batch(_class_batch(space, keys), accel), every):
+                assert got.tobytes() == want.tobytes(), nest
 
 
 def test_perm_table_is_shared_and_read_only():
@@ -367,6 +526,27 @@ def test_exhaustive_best_frozen(accel):
     assert rep.energy == 42368.0
     assert rep.edp == 2711552.0
     assert validate(m, accel) == []
+
+
+@pytest.mark.parametrize("W", [2, 4, 6, 8])
+def test_exhaustive_best_matches_every_mapping(W):
+    """The minimum over every valid (tile vector, DRAM perm), each costed by
+    the kernel, ties broken on the encoding."""
+    for caps in ((256 * 1024, 64 * 1024), (512, 128)):
+        accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=caps[0],
+                                  accumulator_bytes=caps[1])
+        for nest in _small_nests(W)[::2]:
+            space = _Space(nest, W)
+            nperm = math.factorial(len(nest.names))
+            t = np.repeat(np.flatnonzero(_valid_mask(space, accel)), nperm)
+            p = np.tile(np.arange(nperm), len(t) // nperm)
+            lat, en, dram, compute = _eval_batch(space.batch(t, p), accel)
+            edp = lat * en
+            _, i = min((space.mapping(t[i], p[i]).encode(), i)
+                       for i in np.flatnonzero(edp == edp.min()).tolist())
+            m, rep = exhaustive_best(nest, accel)
+            assert m == space.mapping(t[i], p[i]), nest
+            assert (rep.latency, rep.energy, rep.traffic["dram"]) == (lat[i], en[i], dram[i])
 
 
 def test_exhaustive_lower_bounds_sampling(accel):
