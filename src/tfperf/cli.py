@@ -14,14 +14,13 @@ import json
 import os
 import sys
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
 from . import mapspace
 from .archsearch import CostCache, DEFAULT_SPACE, evolve, space_from_json
 from .fusion import PAIR_NAMES, fusion_sweep
-from .hwmodel import (InfeasibleConfigError, accel_from_json, accel_preset,
+from .hwmodel import (InfeasibleConfigError, _left_sum, accel_from_json, accel_preset,
                       costs_intensity, memory_split_sweep, model_costs,
                       report_intensity)
 from .workload import (ConfigError, Mode, category_of, flops, intensity,
@@ -46,56 +45,55 @@ def _load_accel(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (rows, columns, extra tables), every row a
-# tuple in column order and each extra table a (rows, columns) pair
+# Command handlers: each returns (table, extra tables). A table is a
+# (names, columns) pair: one column per name, all of one length, each a list
+# or a 1-D int64 or float64 array.
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args):
     cfg = _load_model(args.model, args.seqlen)
     cnn = cfg.mode is Mode.Cnn
-    cols = ["name", "op_class", "category", "flops", "mops", "arithmetic_intensity"]
-    rows = []
-    for op in model_ops(cfg):
-        f, m = flops(op), mops(op)
-        rows.append((op.name, op.op_class.value, category_of(op, cnn=cnn), f, m,
-                     intensity(f, m)))
-    return rows, cols, {}
+    ops = model_ops(cfg)
+    f, m = list(map(flops, ops)), list(map(mops, ops))
+    names = ["name", "op_class", "category", "flops", "mops", "arithmetic_intensity"]
+    return (names, [[op.name for op in ops], [op.op_class.value for op in ops],
+                    [category_of(op, cnn=cnn) for op in ops], f, m,
+                    list(map(intensity, f, m))]), {}
 
 
 def cmd_latency(args):
     cfg = _load_model(args.model, args.seqlen)
     accel = _load_accel(args.accel)
-    cols = ["name", "op_class", "latency_cycles", "energy_pj", "compute_bound"]
-    rows = []
-    lat = energy = 0.0
-    for op, rep in model_costs(cfg, accel):
-        rows.append((op.name, op.op_class.value, rep.latency, rep.energy, rep.compute_bound))
-        lat += rep.latency
-        energy += rep.energy
-    rows.append(("total", "", lat, energy, ""))
-    return rows, cols, {}
+    costs = model_costs(cfg, accel)
+    lat = [rep.latency for _, rep in costs]
+    energy = [rep.energy for _, rep in costs]
+    names = ["name", "op_class", "latency_cycles", "energy_pj", "compute_bound"]
+    return (names, [[op.name for op, _ in costs] + ["total"],
+                    [op.op_class.value for op, _ in costs] + [""],
+                    lat + [_left_sum(lat)], energy + [_left_sum(energy)],
+                    [rep.compute_bound for _, rep in costs] + [""]]), {}
 
 
 def cmd_nonideal_ai(args):
     cfg = _load_model(args.model, args.seqlen)
     accel = _load_accel(args.accel)
     costs = model_costs(cfg, accel)
-    cols = ["name", "flops", "ideal_ai", "nonideal_ai"]
-    rows = []
-    for op, rep in costs:
-        f, m = flops(op), mops(op)
-        rows.append((op.name, f, intensity(f, m), report_intensity(op, rep)))
-    rows.append(("model", sum(flops(op) for op, _ in costs), "", costs_intensity(costs)))
-    return rows, cols, {}
+    ops = [op for op, _ in costs]
+    f = list(map(flops, ops))
+    names = ["name", "flops", "ideal_ai", "nonideal_ai"]
+    return (names, [[op.name for op in ops] + ["model"], f + [sum(f)],
+                    list(map(intensity, f, map(mops, ops))) + [""],
+                    [report_intensity(op, rep) for op, rep in costs]
+                    + [costs_intensity(costs)]]), {}
 
 
 def cmd_memsweep(args):
     cfg = _load_model(args.model, args.seqlen)
     accel = _load_accel(args.accel)
     sweep_rows, best = memory_split_sweep(cfg, accel, args.total_kb)
-    cols = ["scratchpad_kb", "accumulator_kb", "latency_cycles", "feasible", "best"]
-    rows = [(*row, i == best) for i, row in enumerate(sweep_rows)]
-    return rows, cols, {}
+    names = ["scratchpad_kb", "accumulator_kb", "latency_cycles", "feasible", "best"]
+    return (names, [*map(list, zip(*sweep_rows)),
+                    [i == best for i in range(len(sweep_rows))]]), {}
 
 
 def cmd_mapsearch(args):
@@ -108,14 +106,12 @@ def cmd_mapsearch(args):
     lat, en = mapspace.sample_costs(nest, accel, args.samples, args.seed)
     if args.format == "json":
         stats = mapspace.stats_from_costs(lat, en)
-        cols = ["n_samples", "min_edp", "p10", "spread", "frac_within_3x"]
-        rows = [(stats.n_samples, stats.min_edp, stats.p10, stats.spread, stats.frac_within(3.0))]
-        return rows, cols, {}
+        names = ["n_samples", "min_edp", "p10", "spread", "frac_within_3x"]
+        return (names, [[stats.n_samples], [stats.min_edp], [stats.p10], [stats.spread],
+                        [stats.frac_within(3.0)]]), {}
     edp = lat * en
-    rel = edp / edp.min()
-    cols = ["sample_idx", "latency", "energy", "edp", "relative_edp"]
-    rows = list(zip(range(len(lat)), lat.tolist(), en.tolist(), edp.tolist(), rel.tolist()))
-    return rows, cols, {}
+    names = ["sample_idx", "latency", "energy", "edp", "relative_edp"]
+    return (names, [np.arange(len(lat)), lat, en, edp, edp / edp.min()]), {}
 
 
 def cmd_fusion(args):
@@ -123,16 +119,16 @@ def cmd_fusion(args):
     pairs = dict.fromkeys(args.pair or PAIR_NAMES)
     acc_kbs = args.acc_kb or [128, 256]
     seq_lens = args.seqlen or [512, 4096]
-    cols = ["pair", "accumulator_kb", "seq_len", "fused_latency",
-            "nonfused_latency", "producer_penalty", "hidden_cycles",
-            "verdict", "feasible", "reason"]
+    names = ["pair", "accumulator_kb", "seq_len", "fused_latency",
+             "nonfused_latency", "producer_penalty", "hidden_cycles",
+             "verdict", "feasible", "reason"]
     rows = []
     for name in pairs:
         grid = fusion_sweep(name, accel, acc_kbs, seq_lens)
         rows.extend((name, kb, l, r.fused_latency, r.nonfused_latency, r.producer_penalty,
                      r.hidden_cycles, r.verdict.value, r.feasible, r.reason)
                     for (kb, l), r in sorted(grid.items()))
-    return rows, cols, {}
+    return (names, [*map(list, zip(*rows))]), {}
 
 
 TRACE_COLUMNS = ["round", "best_edp", "front_size"]
@@ -147,65 +143,47 @@ def cmd_search(args):
         space = DEFAULT_SPACE
     front = evolve(space, accel, pop=args.pop, rounds=args.rounds,
                    p=args.mutation, seed=args.seed, cache=CostCache(accel))
+    trace = (TRACE_COLUMNS, [*map(list, zip(*front.trace))])
     if args.format == "json":
-        cols = ["N", "d", "h", "d_FFN", "quality", "edp"]
+        names = ["N", "d", "h", "d_FFN", "quality", "edp"]
         rows = [(c.N, c.d, c.h, c.d_FFN, c.quality, c.edp) for c in front.points]
-        return rows, cols, {"trace": (front.trace, TRACE_COLUMNS)}
-    return front.trace, TRACE_COLUMNS, {}
+        return (names, [*map(list, zip(*rows))]), {"trace": trace}
+    return trace, {}
 
 
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
 
-def _number_columns(rows: list, width: int) -> list | None:
-    """Each column of an all-number table as a pair: (cells, None) for an int
-    column, and (texts, index) for a float column, whose cell i reads
-    texts[index[i]]. None unless every row has `width` cells and each column
-    holds only exact ints or only exact floats; a str, bool or "" cell leaves
-    the table to csv.writer.
-
-    A float column is formatted once per distinct value, told apart by its
-    IEEE bits: float equality would merge 0.0 with -0.0 and never match a NaN.
-    Each text is the repr of the value's first cell, not of a new float: the
-    float free list would keep some of those, and long-lived floats made
-    later would pin their arenas, so that resident memory creeps per call.
-    """
-    if not width or set(map(len, rows)) != {width}:
-        return None
-    columns = []
-    for j in range(width):
-        cells = list(map(itemgetter(j), rows))
-        kinds = set(map(type, cells))
-        if kinds == {int}:
-            columns.append((cells, None))
-        elif kinds == {float}:
-            _, first, index = np.unique(np.array(cells).view(np.uint64),
-                                        return_index=True, return_inverse=True)
-            texts = np.array([repr(cells[i]) for i in first.tolist()], dtype=object)
-            columns.append((texts, index))
-        else:
-            return None
-    return columns
+_NUMBER_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
-def _csv_texts(rows: list, columns: list) -> list[str]:
+def _float_texts(column: np.ndarray) -> list[str]:
+    """The repr of each cell of a float64 array, made once per distinct
+    value. Values are told apart by their IEEE bits: float equality would
+    merge 0.0 with -0.0 and never match a NaN."""
+    bits, index = np.unique(column.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[index].tolist()
+
+
+def _csv_texts(names: list, columns: list) -> list[str]:
     """A table's CSV text in pieces, byte for byte what csv.writer writes.
 
-    An all-number table's lines are one %-format: %d gives str of an int, and
-    %s each float cell's repr text. That makes no object per cell or line.
+    A table of int64 and float64 arrays alone has its lines written with one
+    %-format: %d gives str of an int, and %s each float's repr text. That
+    makes no object per line.
     """
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    number_columns = _number_columns(rows, len(columns))
-    if number_columns is None:
-        w.writerows(rows)
+    w.writerow(names)
+    if not columns or not all(isinstance(c, np.ndarray) and c.dtype in _NUMBER_DTYPES
+                              for c in columns):
+        w.writerows(zip(*columns))
         return [buf.getvalue()]
-    line = ",".join("%d" if index is None else "%s" for _, index in number_columns) + "\n"
-    cells = [values if index is None else values[index].tolist()
-             for values, index in number_columns]
-    return [buf.getvalue(), (line * len(rows)) % tuple(chain.from_iterable(zip(*cells)))]
+    line = ",".join("%d" if c.dtype == np.int64 else "%s" for c in columns) + "\n"
+    cells = [c.tolist() if c.dtype == np.int64 else _float_texts(c) for c in columns]
+    return [buf.getvalue(), (line * len(columns[0])) % tuple(chain.from_iterable(zip(*cells)))]
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
@@ -255,13 +233,19 @@ def _json_text(report: dict) -> str:
 def emit(header: dict, tables: dict, fmt: str, out: str | None) -> int:
     """Serialize a report; returns the UTF-8 bytes written.
 
-    Each table is a (rows, columns) pair, every row a tuple in column order.
-    JSON writes the header keys and then each table as a list of objects;
-    CSV writes the "rows" table alone.
+    Each table is a (names, columns) pair: one column per name, all of one
+    length, each a list or a 1-D int64 or float64 array. JSON writes the
+    header keys and then each table as a list of objects; CSV writes the
+    "rows" table alone.
     """
+    for key, (names, columns) in tables.items():
+        if len(columns) != len(names) or len(set(map(len, columns))) > 1:
+            raise ValueError(f"table {key!r} needs one column per name, all of one length")
     if fmt == "json":
-        report = {**header, **{key: [dict(zip(columns, row, strict=True)) for row in rows]
-                               for key, (rows, columns) in tables.items()}}
+        report = dict(header)
+        for key, (names, columns) in tables.items():
+            lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+            report[key] = [dict(zip(names, row)) for row in zip(*lists)]
         texts = [_json_text(report)]
     else:
         texts = _csv_texts(*tables["rows"])
@@ -368,7 +352,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parse_args(argv)
     try:
-        rows, columns, extra = args.func(args)
+        table, extra = args.func(args)
     except (ConfigError, InfeasibleConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -377,7 +361,7 @@ def main(argv=None) -> int:
         return 3
     header = {"schema_version": SCHEMA_VERSION, "generated_by": "tfperf " + " ".join(argv)}
     try:
-        emit(header, {**extra, "rows": (rows, columns)}, args.format, args.out)
+        emit(header, {**extra, "rows": table}, args.format, args.out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -432,43 +432,61 @@ EVERY_COMMAND_ARGVS = [
 ]
 
 
+def as_list(column) -> list:
+    """A table column as Python values: an array's cells as Python numbers."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def handler_table(argv) -> tuple:
+    args = build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+def dictwriter_text(names, columns) -> str:
+    oracle = io.StringIO()
+    w = csv.DictWriter(oracle, fieldnames=names, lineterminator="\n")
+    w.writeheader()
+    w.writerows(dict(zip(names, row)) for row in zip(*map(as_list, columns)))
+    return oracle.getvalue()
+
+
 @pytest.mark.parametrize("argv", EVERY_COMMAND_ARGVS, ids=lambda a: "-".join(a[:3]))
 def test_csv_bytes_match_dictwriter(capsys, argv):
-    args = build_parser().parse_args(list(argv))
-    rows, columns, _ = args.func(args)
-    oracle = io.StringIO()
-    w = csv.DictWriter(oracle, fieldnames=columns, lineterminator="\n")
-    w.writeheader()
-    w.writerows(dict(zip(columns, row)) for row in rows)
+    (names, columns), _ = handler_table(argv)
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out == oracle.getvalue()
+    assert out == dictwriter_text(names, columns)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", EVERY_COMMAND_ARGVS, ids=lambda a: "-".join(a[:3]))
 def test_every_row_has_one_value_per_column(argv, fmt):
-    args = build_parser().parse_args([*argv, "--format", fmt])
-    rows, columns, extra = args.func(args)
-    tables = [(rows, columns), *extra.values()]
-    for table_rows, table_columns in tables:
-        assert table_rows
-        assert all(type(row) is tuple for row in table_rows)
-        assert {len(row) for row in table_rows} == {len(table_columns)}
+    """Each table has one column per name, all of one nonzero length; a
+    column is a list or a 1-D int64/float64 array, and the mapsearch dump
+    keeps its five columns in arrays."""
+    table, extra = handler_table([*argv, "--format", fmt])
+    for names, columns in [table, *extra.values()]:
+        assert len(columns) == len(names)
+        assert len({len(column) for column in columns}) == 1 and len(columns[0])
+        for column in columns:
+            assert type(column) is list or (type(column) is np.ndarray and column.ndim == 1
+                                            and column.dtype in (np.int64, np.float64))
+    if argv[0] == "mapsearch" and fmt == "csv":
+        assert [type(column) for column in table[1]] == [np.ndarray] * 5
 
 
-def csv_writer_text(rows, columns) -> str:
+def csv_writer_text(names, columns) -> str:
     oracle = io.StringIO()
     w = csv.writer(oracle, lineterminator="\n")
-    w.writerow(columns)
-    w.writerows(rows)
+    w.writerow(names)
+    w.writerows(zip(*map(as_list, columns)))
     return oracle.getvalue()
 
 
-def emit_csv(rows, columns) -> tuple[str, int]:
+def emit_csv(names, columns) -> tuple[str, int]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        written = cli.emit({}, {"rows": (rows, columns)}, "csv", None)
+        written = cli.emit({}, {"rows": (names, columns)}, "csv", None)
     return out.getvalue(), written
 
 
@@ -478,30 +496,45 @@ SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1
 
 
 @st.composite
-def number_tables(draw):
-    """(rows, columns): one int column among 1-4 float columns, each float
-    column every SPECIAL_FLOATS value and a few drawn ones, heavily repeated."""
+def number_tables(draw, wide_ints=False):
+    """(names, columns): one int column among 1-4 float64 array columns, each
+    float column every SPECIAL_FLOATS value and a few drawn ones, heavily
+    repeated. The int column is an int64 array, or with `wide_ints` a list of
+    ints up to 2**70 in size, which no int64 array holds."""
     n_rows = draw(st.integers(len(SPECIAL_FLOATS) + 6, 120))
     float_columns = []
     for _ in range(draw(st.integers(1, 4))):
         pool = SPECIAL_FLOATS + draw(st.lists(st.floats(), min_size=1, max_size=6))
         picks = draw(st.lists(st.sampled_from(pool), min_size=n_rows - len(pool),
                               max_size=n_rows - len(pool)))
-        float_columns.append(draw(st.permutations(pool + picks)))
-    ints = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n_rows, max_size=n_rows))
-    cells = float_columns[:]
-    cells.insert(draw(st.integers(0, len(float_columns))), ints)
-    columns = draw(st.lists(st.text(max_size=4), min_size=len(cells), max_size=len(cells)))
-    return list(zip(*cells)), columns
+        float_columns.append(np.array(draw(st.permutations(pool + picks)), dtype=np.float64))
+    if wide_ints:
+        ints = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n_rows, max_size=n_rows))
+    else:
+        ints = np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n_rows,
+                                      max_size=n_rows)), dtype=np.int64)
+    columns = float_columns[:]
+    columns.insert(draw(st.integers(0, len(float_columns))), ints)
+    names = draw(st.lists(st.text(max_size=4), min_size=len(columns), max_size=len(columns)))
+    return names, columns
 
 
 @settings(max_examples=100, deadline=None)
 @given(number_tables())
 def test_emit_csv_matches_csv_writer_on_number_tables(table):
-    rows, columns = table
-    expected = csv_writer_text(rows, columns)
-    assert cli._number_columns(rows, len(columns)) is not None
-    text, written = emit_csv(rows, columns)
+    names, columns = table
+    expected = csv_writer_text(names, columns)
+    text, written = emit_csv(names, columns)
+    assert text == expected
+    assert written == len(expected.encode("utf-8"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(number_tables(wide_ints=True))
+def test_emit_csv_matches_csv_writer_on_wide_int_tables(table):
+    names, columns = table
+    expected = csv_writer_text(names, columns)
+    text, written = emit_csv(names, columns)
     assert text == expected
     assert written == len(expected.encode("utf-8"))
 
@@ -513,42 +546,53 @@ NOT_NUMBERS = st.one_of(st.text(max_size=4), st.booleans(), st.just(""),
 @settings(max_examples=100, deadline=None)
 @given(number_tables(), st.data())
 def test_emit_csv_matches_csv_writer_on_other_tables(table, data):
-    rows, columns = table
-    rows = [list(row) for row in rows]
+    names, columns = table
     for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(0, len(rows) - 1))
-        rows[i][data.draw(st.integers(0, len(columns) - 1))] = data.draw(NOT_NUMBERS)
-    rows = [tuple(row) for row in rows]
-    expected = csv_writer_text(rows, columns)
-    assert cli._number_columns(rows, len(columns)) is None
-    text, written = emit_csv(rows, columns)
+        i = data.draw(st.integers(0, len(columns[0]) - 1))
+        j = data.draw(st.integers(0, len(columns) - 1))
+        columns[j] = as_list(columns[j])
+        columns[j][i] = data.draw(NOT_NUMBERS)
+    expected = csv_writer_text(names, columns)
+    text, written = emit_csv(names, columns)
     assert text == expected
     assert written == len(expected.encode("utf-8"))
 
 
-@pytest.mark.parametrize("rows, columns", [
-    ([], ["a", "b"]),
-    ([(1, 2.0), (3,)], ["a", "b"]),
-    ([(1, 2.0, 5), (3, 4.0)], ["a", "b"]),
-    ([(), ()], []),
-], ids=["empty", "short-row", "long-row", "no-columns"])
-def test_emit_csv_matches_csv_writer_on_odd_tables(rows, columns):
-    text, written = emit_csv(rows, columns)
-    assert text == csv_writer_text(rows, columns)
+@pytest.mark.parametrize("names, columns", [
+    (["a", "b"], [[], []]),
+    (["a", "b"], [np.array([], dtype=np.int64), np.array([], dtype=np.float64)]),
+    ([], []),
+], ids=["empty", "empty-arrays", "no-columns"])
+def test_emit_csv_matches_csv_writer_on_odd_tables(names, columns):
+    text, written = emit_csv(names, columns)
+    assert text == csv_writer_text(names, columns)
     assert written == len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("key", ["rows", "trace"])
+@pytest.mark.parametrize("names, columns", [
+    (["a", "b"], [[1, 3], [2.0]]),
+    (["a", "b"], [[1, 3], np.array([2.0, 4.0, 5.0])]),
+    (["a", "b"], [[1, 3]]),
+    (["a"], [[1, 3], [2.0, 4.0]]),
+    ([], [[1, 3]]),
+], ids=["short-column", "long-column", "missing-column", "extra-column", "no-names"])
+def test_emit_rejects_misshapen_tables(capsys, names, columns, key, fmt):
+    """Either format refuses a table without one column per name, all of one
+    length, whichever table of the report it is, and writes nothing."""
+    tables = {"rows": (["n"], [[1, 2]]), key: (names, columns)}
+    with pytest.raises(ValueError, match=repr(key)):
+        cli.emit({}, tables, fmt, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_mapsearch_csv_dump_matches_dictwriter(tmp_path, capsys, monkeypatch):
     # at 20k samples the costs repeat
     argv = ["mapsearch", "--op", "bert.mha", "--samples", "20000", "--seed", "7"]
-    args = build_parser().parse_args(argv)
-    rows, columns, _ = args.func(args)
-    assert len({row[1] for row in rows}) < len(rows) // 10
-    oracle = io.StringIO()
-    w = csv.DictWriter(oracle, fieldnames=columns, lineterminator="\n")
-    w.writeheader()
-    w.writerows(dict(zip(columns, row)) for row in rows)
-    expected = oracle.getvalue()
+    (names, columns), _ = handler_table(argv)
+    assert len(set(columns[1].tolist())) < len(columns[1]) // 10
+    expected = dictwriter_text(names, columns)
 
     written = []
     emit = cli.emit
@@ -564,13 +608,14 @@ def test_mapsearch_csv_dump_matches_dictwriter(tmp_path, capsys, monkeypatch):
 
 
 def test_emit_counts_utf8_bytes(tmp_path):
-    rows, columns = [(1, 0.5), (2, -0.0)], ["índice", "édp"]
+    names = ["índice", "édp"]
     path = tmp_path / "t.csv"
-    written = cli.emit({}, {"rows": (rows, columns)}, "csv", str(path))
-    assert written == len(path.read_bytes()) == len(csv_writer_text(rows, columns)) + 2
     header = {"schema_version": "1", "generated_by": "tfperf analyze --model modèle"}
-    written = cli.emit(header, {"rows": (rows, columns)}, "json", str(path))
-    assert written == len(path.read_bytes())
+    for columns in ([np.array([1, 2]), np.array([0.5, -0.0])], [[1, 2], [0.5, -0.0]]):
+        written = cli.emit({}, {"rows": (names, columns)}, "csv", str(path))
+        assert written == len(path.read_bytes()) == len(csv_writer_text(names, columns)) + 2
+        written = cli.emit(header, {"rows": (names, columns)}, "json", str(path))
+        assert written == len(path.read_bytes())
 
 
 # text with quotes, backslashes, control characters and non-ASCII letters
@@ -583,10 +628,14 @@ JSON_CELLS = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
 
 @st.composite
 def json_tables(draw, cells):
-    """(rows, columns): 0-3 columns and 0-5 rows of `cells`."""
-    columns = draw(st.lists(JSON_TEXT, max_size=3))
-    rows = draw(st.lists(st.tuples(*[cells] * len(columns)), max_size=5))
-    return rows, columns
+    """(names, columns): 0-3 columns and 0-5 rows of `cells`; a column of
+    floats alone may be a float64 array."""
+    names = draw(st.lists(JSON_TEXT, max_size=3))
+    rows = draw(st.lists(st.tuples(*[cells] * len(names)), max_size=5))
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in names]
+    return names, [np.array(column, dtype=np.float64)
+                   if {type(v) for v in column} == {float} and draw(st.booleans()) else column
+                   for column in columns]
 
 
 @settings(max_examples=150, deadline=None)
@@ -596,8 +645,8 @@ def json_tables(draw, cells):
 def test_emit_json_matches_indented_dumps(header, rows_table, extra):
     # extra tables, as `search`'s trace is, of scalar cells only
     tables = {**extra, "rows": rows_table}
-    report = {**header, **{key: [dict(zip(columns, row)) for row in rows]
-                           for key, (rows, columns) in tables.items()}}
+    report = {**header, **{key: [dict(zip(names, row)) for row in zip(*map(as_list, columns))]
+                           for key, (names, columns) in tables.items()}}
     expected = json.dumps(report, indent=2) + "\n"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -614,12 +663,13 @@ def test_emit_json_encodes_scalar_tables_without_indent(monkeypatch):
     monkeypatch.setattr(json, "dumps", lambda obj, **kw: indented.append("indent" in kw)
                         or dumps(obj, **kw))
     header = {"schema_version": "1", "generated_by": "tfperf"}
-    scalar_rows = ([(1, 0.5, "a", None, True)], ["n", "x", "s", "z", "b"])
+    scalar_table = (["n", "x", "s", "z", "b"],
+                    [np.array([1]), np.array([0.5]), ["a"], [None], [True]])
     emit_text = io.StringIO()
     with contextlib.redirect_stdout(emit_text):
-        cli.emit(header, {"trace": scalar_rows, "rows": scalar_rows}, "json", None)
+        cli.emit(header, {"trace": scalar_table, "rows": scalar_table}, "json", None)
         assert not any(indented)
-        cli.emit(header, {"rows": ([(1, [2, 3])], ["n", "h"])}, "json", None)
+        cli.emit(header, {"rows": (["n", "h"], [[1], [[2, 3]]])}, "json", None)
         assert indented[-1]
 
 
