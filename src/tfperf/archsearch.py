@@ -143,17 +143,19 @@ def quality_proxy(c: Candidate) -> float:
 SEQ_LEN = 512  # the sequence length every candidate is costed at
 
 
-def _encoder_config(c: Candidate) -> ModelConfig:
-    # base num_heads=1 always divides d; real head counts enter per layer
-    return ModelConfig(name="nas", num_layers=c.N, model_dim=c.d, num_heads=1,
-                       ffn_dim=c.d_FFN[0], seq_len=SEQ_LEN, mode=Mode.Encoder).check()
+def _layer_ops(i: int, d: int, h: int, f: int) -> list[OperatorSpec]:
+    """Layer i's operators at model dim d, h heads and FFN dim f, built on a
+    checked config of that layer's own d and f."""
+    # base num_heads=1 always divides d; the real head count enters per layer
+    cfg = ModelConfig(name="nas", num_layers=1, model_dim=d, num_heads=1, ffn_dim=f,
+                      seq_len=SEQ_LEN, mode=Mode.Encoder).check()
+    return layer_ops_encoder(cfg, i, heads=h, ffn_dim=f)
 
 
 def candidate_ops(c: Candidate) -> list[OperatorSpec]:
-    cfg = _encoder_config(c)
     ops: list[OperatorSpec] = []
     for i in range(c.N):
-        ops.extend(layer_ops_encoder(cfg, i, heads=c.h[i], ffn_dim=c.d_FFN[i]))
+        ops.extend(_layer_ops(i, c.d, c.h[i], c.d_FFN[i]))
     return ops
 
 
@@ -189,28 +191,21 @@ class CostCache(OpCostTable):
         self.layers: dict = {}
         self.costs = np.zeros((2, 64, len(_PART_COLUMNS)))
         self._parts: tuple[dict, dict, dict] = ({}, {}, {})
-        self._configs: dict = {}  # (N, d, d_FFN[0]) -> checked ModelConfig
 
-    def _config(self, c: Candidate) -> ModelConfig:
-        key = (c.N, c.d, c.d_FFN[0])
-        cfg = self._configs.get(key)
-        if cfg is None:
-            cfg = self._configs[key] = _encoder_config(c)
-        return cfg
-
-    def _layer(self, cfg: ModelConfig, i: int, key: tuple) -> int:
-        """The `costs` row of layer `i` of a candidate built on `cfg`, whose
-        (d, h, d_FFN) is `key`; a new row on the first call per key.
+    def _layer(self, i: int, key: tuple) -> int:
+        """The `costs` row of a candidate's layer `i`, whose (d, h, d_FFN) is
+        `key`; a new row on the first call per key.
 
         Only the operators of parts not yet built are costed, in operator
-        order, so a layer that fails raises at its first failing operator,
-        under that operator's name. Nothing of a failed layer is stored.
+        order, so a layer that fails raises at its config check or at its
+        first failing operator, under that operator's name. Nothing of a
+        failed layer is stored.
         """
         d, h, f = key
         part_keys = (d, (d, h), (d, f))
         missing = [p for p in range(3) if part_keys[p] not in self._parts[p]]
         if missing:
-            ops = layer_ops_encoder(cfg, i, heads=h, ffn_dim=f)
+            ops = _layer_ops(i, d, h, f)
             wide = _wide_flags(ops)
             reps = {j: self.cost(ops[j], wide_inputs=wide[j])
                     for j in sorted(j for p in missing for j in _PARTS[p])}
@@ -238,7 +233,7 @@ def _cost_round(cands: list[Candidate], cache: CostCache):
     """Costs candidates in one array pass over the cache's layer table.
 
     Returns (costed candidates, their EDPs, (candidate, error) pairs), each
-    in the order of `cands`. A candidate whose config check or layer
+    in the order of `cands`. A candidate whose layer config check or
     costing raises `ConfigError` or `ValueError` is set aside with its error,
     and the others are still costed. Each costed candidate's layers become
     one row of layer-table indices, padded with the zero row; its total
@@ -250,12 +245,11 @@ def _cost_round(cands: list[Candidate], cache: CostCache):
     kept, rows, errors = [], [], []
     for c in cands:
         try:
-            cfg = cache._config(c)
             ids = []
             for i in range(c.N):
                 key = (c.d, c.h[i], c.d_FFN[i])
                 row = layers.get(key)
-                ids.append(cache._layer(cfg, i, key) if row is None else row)
+                ids.append(cache._layer(i, key) if row is None else row)
         except (ConfigError, ValueError) as exc:
             errors.append((c, exc))
             continue
@@ -272,6 +266,8 @@ def _cost_round(cands: list[Candidate], cache: CostCache):
 def candidate_edp(c: Candidate, cache: CostCache) -> float:
     """Total latency x total energy over the candidate's encoder operators,
     on the cache's accelerator: a round of one candidate."""
+    if c.N < 1 or len(c.h) != c.N or len(c.d_FFN) != c.N:
+        raise ConfigError(f"need N >= 1 and per-layer lists of length N, got {c.encode()}")
     _, edps, errors = _cost_round([c], cache)
     if errors:
         raise errors[0][1]

@@ -18,7 +18,7 @@ consumer reading its inputs from the accumulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .hwmodel import (_ACCUM_BYTES, _STANDALONE_PASSES, AcceleratorConfig, TilingPlan,
@@ -172,7 +172,6 @@ def fusion_sweep(pair_name: str, accel: AcceleratorConfig,
     The pair depends on the sequence length only, so each is built once."""
     if not accum_kbs or not seq_lens:
         raise ValueError("accum_kbs and seq_lens must be nonempty")
-    from dataclasses import replace
     accels = {kb: replace(accel, accumulator_bytes=kb * 1024).check() for kb in accum_kbs}
     pairs = {l: bert_pair(pair_name, seq_len=l) for l in seq_lens}
     return {(kb, l): eval_pair(pair, cell_accel)

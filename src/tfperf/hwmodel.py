@@ -292,7 +292,7 @@ def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     M, K, N = matmul_dims(op)
     W = accel.pe_width
     in1_b, in2_b = _in_bytes(op)
-    compute_cycles = float(np.broadcast_to(compute, bytes_per_tile.shape).sum())
+    compute_cycles = float(compute.sum())
     reps = op.kind.repetitions if isinstance(op.kind, Conv) else 1
     macs = float(M) * K * N * reps
     dram = float(bytes_per_tile.sum()) * reps

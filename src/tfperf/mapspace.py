@@ -122,6 +122,21 @@ def _tile_choices(extent: int, s: int) -> tuple[int, ...]:
     return tuple(d for d in _divisors(p) if d % s == 0)
 
 
+def _dim_combos(nest: LoopNest, pe_width: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Per dim, its (spatial factor, tile choices) pairs: the divisors of
+    `pe_width` in ascending order (1 alone on a non-spatial dim), each with
+    its tile choices in ascending order. Each (factor, tile choice) is one of
+    the dim's combos."""
+    return [tuple((s, _tile_choices(ext, s))
+                  for s in (_divisors(pe_width) if name in nest.spatial_dims else (1,)))
+            for name, ext in nest.dims]
+
+
+def _tile_vectors(nest: LoopNest, pe_width: int) -> int:
+    """How many tile vectors the nest has: its dims' combo counts multiplied."""
+    return math.prod(sum(len(c) for _, c in combos) for combos in _dim_combos(nest, pe_width))
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -286,21 +301,19 @@ def _order_classes(ndims: int) -> tuple[np.ndarray, np.ndarray]:
 class _Space:
     """Every tile vector of one nest at one PE width, numbered.
 
-    Per dim, a combo is one (spatial factor, tile size) pair: the spatial
-    factors in ascending order (1 alone on a non-spatial dim), each with its
-    tile choices in ascending order. Tile vector t is the mixed-radix number
-    of its dims' combo ids, dim 0 most significant, so a nest has
-    `mapspace_size / nd!` of them. `tiles` holds each dim's tile sizes on that
-    dim's axis, so `_footprints` broadcasts them over every tile vector.
+    Per dim, a combo is one (spatial factor, tile size) pair, numbered in
+    `_dim_combos` order. Tile vector t is the mixed-radix number of its dims'
+    combo ids, dim 0 most significant, so a nest has `_tile_vectors` of them.
+    `tiles` holds each dim's tile sizes on that dim's axis, so `_footprints`
+    broadcasts them over every tile vector.
     """
 
     def __init__(self, nest: LoopNest, pe_width: int):
         self.nest = nest
         nd = len(nest.dims)
         self.spatial, self.tiles, self.groups, iterating = [], [], [], []
-        for d, (name, ext) in enumerate(nest.dims):
-            factors = _divisors(pe_width) if name in nest.spatial_dims else (1,)
-            choices = [_tile_choices(ext, s) for s in factors]
+        for d, (ext, combos) in enumerate(zip(nest.extents, _dim_combos(nest, pe_width))):
+            factors, choices = zip(*combos)
             lens = [len(c) for c in choices]
             # (first combo id, number of tile choices) per spatial factor
             self.groups.append(tuple(zip(itertools.accumulate([0] + lens), lens)))
@@ -482,21 +495,10 @@ def sample_stats(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int) ->
 
 def mapspace_size(nest: LoopNest, accel: AcceleratorConfig) -> int:
     """Number of (spatial, tiling, DRAM-perm) combinations, before validity."""
-    W = accel.pe_width
-    sdims = nest.spatial_dims
-    total = 0
-    spatial_sets = []
-    for name, ext in nest.dims:
-        spatial_sets.append(_divisors(W) if name in sdims else (1,))
-    for svec in itertools.product(*spatial_sets):
-        combos = 1
-        for (name, ext), s in zip(nest.dims, svec):
-            combos *= len(_tile_choices(ext, s))
-        total += combos
-    return total * math.factorial(len(nest.names))
+    return _tile_vectors(nest, accel.pe_width) * math.factorial(len(nest.names))
 
 
-_EXHAUSTIVE_GUARD = 10 ** 7
+_EXHAUSTIVE_GUARD = 10 ** 7  # rows: tile vectors x loop-order classes
 
 
 def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig):
@@ -504,17 +506,20 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig):
     minimum-EDP one, ties broken lexicographically on the mapping encoding.
 
     Each (valid tile vector, reachable loop-order class) is costed once; only
-    the classes at the minimum EDP are expanded back to their DRAM perms."""
-    size = mapspace_size(nest, accel)
-    if size > _EXHAUSTIVE_GUARD:
+    the classes at the minimum EDP are expanded back to their DRAM perms. A
+    nest whose tile vectors times classes, the most rows this can cost,
+    exceed `_EXHAUSTIVE_GUARD` is refused before any of them is built."""
+    code, rep = _order_classes(len(nest.names))
+    nclass = rep.shape[1]
+    vectors = _tile_vectors(nest, accel.pe_width)
+    if vectors * nclass > _EXHAUSTIVE_GUARD:
         raise MapspaceTooLargeError(
-            f"mapspace has ~{size} mappings, above the {_EXHAUSTIVE_GUARD} guard")
+            f"exhaustive search may cost {vectors * nclass} rows ({vectors} tile vectors x "
+            f"{nclass} loop-order classes), above the {_EXHAUSTIVE_GUARD} guard")
     space = _Space(nest, accel.pe_width)
     t = np.flatnonzero(_valid_mask(space, accel))
     if not len(t):
         raise InfeasibleConfigError("no valid mapping in the exhaustive space")
-    code, rep = _order_classes(len(nest.names))
-    nclass = rep.shape[1]
     row, c = np.nonzero(rep[space.iter_mask[t]] >= 0)
     t = t[row]  # one row per (valid tile vector, reachable class)
     rows = _eval_batch(_class_batch(space, t * nclass + c), accel)

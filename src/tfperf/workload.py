@@ -50,8 +50,6 @@ _CLASS_CATEGORY = {
     OperatorClass.ResidualAdd: CATEGORY_OTHER,
 }
 
-CNN_CATEGORIES = ("Convolution", "BatchNorm", "ReLU", CATEGORY_OTHER)
-
 
 class ConfigError(ValueError):
     """Invalid model or operator configuration."""

@@ -278,6 +278,19 @@ def test_more_heads_than_model_dim_is_a_config_error(accel):
     assert candidate_edp(Candidate(1, 384, (5,), (768,)), CostCache(accel)) > 0
 
 
+@pytest.mark.parametrize("c", [
+    Candidate(0, 384, (), ()),                 # no layers
+    Candidate(2, 384, (4,), (768, 768)),       # one head gene for two layers
+    Candidate(2, 384, (4, 4), (768, 0)),       # layer 1's d_FFN = 0 fails its config
+    Candidate(2, 0, (4, 4), (768, 768)),       # d = 0
+    Candidate(2, 384, (0, 4), (768, 768)),     # h = 0
+], ids=["N=0", "short-h", "d_FFN=0", "d=0", "h=0"])
+def test_malformed_candidate_is_a_config_error(c, accel):
+    for cost in (candidate_edp, evaluate):
+        with pytest.raises(ConfigError):
+            cost(c, CostCache(accel))
+
+
 def test_accumulate_adds_left_to_right():
     # 1e16 and fifteen 1.0 addends, where one ulp is 2: a left fold rounds
     # each addend away, numpy's pairwise sum adds some of them together

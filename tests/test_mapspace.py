@@ -555,9 +555,30 @@ def test_exhaustive_lower_bounds_sampling(accel):
     assert (lats * ens).min() >= rep.edp
 
 
-def test_exhaustive_guard(accel):
+def test_exhaustive_guard(accel, monkeypatch):
+    # 1,944,000 tile vectors x 8 loop-order classes = 15,552,000 rows at
+    # W=16, above the 10**7 guard; the count needs no tile vector built
+    nest = matmul_nest(5040, 5040, 5040)
+    with pytest.raises(MapspaceTooLargeError, match="15552000 rows"):
+        exhaustive_best(nest, accel)
+
+    def no_space(*args):
+        raise AssertionError("_Space built before the guard")
+
+    monkeypatch.setattr("tfperf.mapspace._Space", no_space)
     with pytest.raises(MapspaceTooLargeError):
-        exhaustive_best(NAMED_NESTS["resnet.c3"], accel)
+        exhaustive_best(nest, accel)
+
+
+def test_exhaustive_best_resnet_c3(accel):
+    # 25,600 tile vectors x 16 classes = 409,600 rows bound the search; the
+    # sampled minimum over 300k mappings reaches the optimum here
+    nest = NAMED_NESTS["resnet.c3"]
+    m, rep = exhaustive_best(nest, accel)
+    assert validate(m, accel) == []
+    lats, ens = sample_costs(nest, accel, 300_000, seed=0)
+    assert rep.edp <= (lats * ens).min()
+    assert exhaustive_best(nest, accel) == (m, rep)
 
 
 # ---------------------------------------------------------------------------
