@@ -11,10 +11,24 @@ operands an outer loop re-fetches, and whether partial outputs spill. Its cost
 rule reads the extents, tiles and those booleans. So two loop orders with the
 same order-rule result cost the same on every tile vector with the same
 iterating loops, which is what lets `mapspace` cost one order per class.
+
+The kernels read the accumulator width and the compute/DRAM overlap rule from
+`hwmodel` (`_ACCUM_BYTES`, `_overlap`), as its tile walk does.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .hwmodel import _ACCUM_BYTES, _overlap
+
+
+def _cost_rows(compute, loaded, drained, macs, in_b, W, bw, energy):
+    """(lat, en, dram, compute) from the bytes loaded into the scratchpad and
+    drained from the accumulator; each streamed operand element feeds W MACs."""
+    dram = loaded + drained
+    spad = loaded + macs * in_b / W
+    acc = macs * _ACCUM_BYTES / W + drained
+    return _overlap(compute, dram, bw), energy.total(macs, spad, acc, dram), dram, compute
 
 
 # ---------------------------------------------------------------------------
@@ -42,16 +56,11 @@ def matmul_cost(Pm, Pk, Pn, Fm, Fk, Fn, sm, sn, order,
     in1_bytes = (Pm * Pk).astype(np.float64) * in1_b * np.where(in1_refetch, Fn, 1)
     in2_bytes = (Pk * Pn).astype(np.float64) * in2_b * np.where(in2_refetch, Fm, 1)
     out_elems = (Pm * Pn).astype(np.float64)
-    out_bytes = np.where(spill, out_elems * 4.0 * Fk, out_elems * out_b)
+    out_bytes = np.where(spill, out_elems * _ACCUM_BYTES * Fk, out_elems * out_b)
 
-    dram = in1_bytes + in2_bytes + out_bytes
     macs = Pm.astype(np.float64) * Pk * Pn
     compute = macs / (sm * sn).astype(np.float64) + W * (Fm * Fk * Fn).astype(np.float64)
-    lat = np.maximum(compute, dram / bw)
-    spad = in1_bytes + in2_bytes + macs * (in1_b + in2_b) / W
-    acc = macs * 4.0 / W + out_bytes
-    en = energy.total(macs, spad, acc, dram)
-    return lat, en, dram, compute
+    return _cost_rows(compute, in1_bytes + in2_bytes, out_bytes, macs, in1_b + in2_b, W, bw, energy)
 
 
 def matmul_eval(Pm, Pk, Pn, sm, sn, tm, tk, tn, pos_m, pos_k, pos_n,
@@ -109,17 +118,12 @@ def conv_cost(P, F, s_oc, s_ic, order, stride, act_b, w_b, out_b, W, bw, energy)
 
     red = (Fic * Fkh * Fkw).astype(np.float64)
     o_elems = (Poc * Poh * Pow).astype(np.float64)
-    o_bytes = np.where(spill, o_elems * 4.0 * red, o_elems * out_b)
+    o_bytes = np.where(spill, o_elems * _ACCUM_BYTES * red, o_elems * out_b)
 
-    dram = w_bytes + i_bytes + o_bytes
     macs = (Poc * Pic * Pkh * Pkw).astype(np.float64) * Poh * Pow
     fills = (Foc * Fic * Fkh).astype(np.float64) * Fkw * Foh * Fow
     compute = macs / (s_oc * s_ic).astype(np.float64) + W * fills
-    lat = np.maximum(compute, dram / bw)
-    spad = w_bytes + i_bytes + macs * (act_b + w_b) / W
-    acc = macs * 4.0 / W + o_bytes
-    en = energy.total(macs, spad, acc, dram)
-    return lat, en, dram, compute
+    return _cost_rows(compute, w_bytes + i_bytes, o_bytes, macs, act_b + w_b, W, bw, energy)
 
 
 def conv_eval(P, s_oc, s_ic, T, pos, stride,

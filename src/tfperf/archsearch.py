@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hwmodel import (AcceleratorConfig, InfeasibleConfigError, OpCostTable, _wide_flags,
-                      accel_preset, greedy_tiles, op_latency)
+from .hwmodel import (AcceleratorConfig, InfeasibleConfigError, OpCostTable, _left_sum,
+                      _wide_flags, accel_preset, greedy_tiles, op_latency)
 from .workload import (ConfigError, Conv, Matmul, Mode, ModelConfig, OperatorSpec,
                        check_keys, layer_ops_encoder)
 
@@ -369,15 +369,10 @@ def rescore(front: ParetoFront, accel: AcceleratorConfig) -> ParetoFront:
     out = []
     for c in front.points:
         ops = candidate_ops(c)
-        wide = _wide_flags(ops)
-        lat = 0.0
-        energy = 0.0
-        for op, w in zip(ops, wide):
-            plan = None
-            if isinstance(op.kind, (Matmul, Conv)):
-                plan = greedy_tiles(op, accel)
-            rep = op_latency(op, accel, plan=plan, wide_inputs=w)
-            lat += rep.latency
-            energy += rep.energy
-        out.append(replace(c, edp=lat * energy))
+        reps = [op_latency(op, accel, wide_inputs=w,
+                           plan=greedy_tiles(op, accel)
+                           if isinstance(op.kind, (Matmul, Conv)) else None)
+                for op, w in zip(ops, _wide_flags(ops))]
+        edp = _left_sum(r.latency for r in reps) * _left_sum(r.energy for r in reps)
+        out.append(replace(c, edp=edp))
     return pareto(out)

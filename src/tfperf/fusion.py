@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .hwmodel import (_ACCUM_BYTES, _STANDALONE_PASSES, AcceleratorConfig, TilingPlan,
-                      _tile_grid, greedy_tiles, op_latency)
+                      _overlap, _tile_grid, greedy_tiles, op_latency)
 from .mapspace import _divisors
 from .workload import (Elementwise, Matmul, OperatorSpec, _in_bytes, layer_ops_encoder,
                        model_preset)
@@ -130,7 +130,7 @@ def _consumer_block_cycles(consumer: OperatorSpec, elements: int,
     """Vector work for `elements` finished outputs read from the accumulator:
     no DRAM loads, only the store at the consumer's output width."""
     comp = _STANDALONE_PASSES * math.ceil(elements / accel.pe_width) * accel.sfu_vector_latency
-    return max(comp, elements * consumer.out_precision / accel.dram_bw)
+    return float(_overlap(comp, elements * consumer.out_precision, accel.dram_bw))
 
 
 def eval_pair(pair: FusionPair, accel: AcceleratorConfig) -> FusionReport:
@@ -149,8 +149,10 @@ def eval_pair(pair: FusionPair, accel: AcceleratorConfig) -> FusionReport:
 
     # one tile spans the full axis, so the walk is one row of k tiles per
     # block; only the first block loads the shared operand if it is resident.
-    # fsum rounds each row's sum once, as a product f_k * tile would.
-    lat = _tile_grid(pair.producer, plan, accel, drain=False)[0]
+    # The consumer reads the outputs from the accumulator, so a tile overlaps
+    # only its loaded bytes. fsum rounds each row's sum once, as f_k * tile would.
+    compute, loaded, _ = _tile_grid(pair.producer, plan, accel)
+    lat = _overlap(compute, loaded, accel.dram_bw)
     blocks = lat.reshape(-1, lat.shape[2])
     n_blocks = len(blocks)
     b_first, b_rest = math.fsum(blocks[0]), math.fsum(blocks[-1])

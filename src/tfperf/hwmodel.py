@@ -250,13 +250,16 @@ def _resident(op: OperatorSpec, accel: AcceleratorConfig) -> tuple[bool, bool]:
     return M * K * in1_b <= half, K * N * in2_b <= half
 
 
-def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig,
-               drain: bool = True):
+def _overlap(compute, dram_bytes, dram_bw):
+    """Double-buffered cycles: compute or DRAM transfer, whichever is longer."""
+    return np.maximum(compute, dram_bytes / dram_bw)
+
+
+def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     """Per-tile grids of the m-outer/n-middle/k-inner walk, on axes (m, n, k).
 
-    Returns (latency, compute, DRAM bytes, drained bytes) for one repeat.
-    With `drain=False` the finished outputs stay in the accumulator, as in a
-    fused schedule whose consumer reads them there.
+    Returns (compute cycles, loaded input bytes, drained output bytes) for
+    one repeat; an output block drains after its last k tile.
     """
     M, K, N = matmul_dims(op)
     W = accel.pe_width
@@ -276,33 +279,22 @@ def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig,
     in2_bytes = (tk * tn * in2_b).astype(np.float64)
     if in2_resident:  # loaded only while the first m block is computed
         in2_bytes = in2_bytes * (np.arange(len(ms))[:, None, None] == 0)
-    out_bytes = np.zeros((len(ms), len(ns), len(ks)))
-    if drain:
-        out_bytes[:, :, -1] = (ms[:, None] * ns[None, :]) * _out_bytes(op)
+    drained = np.zeros((len(ms), len(ns), len(ks)))
+    drained[:, :, -1] = (ms[:, None] * ns[None, :]) * _out_bytes(op)
 
-    bytes_per_tile = in1_bytes + in2_bytes + out_bytes
     compute = tk * np.ceil(tm / W) * np.ceil(tn / W) + W
-    latency = np.maximum(compute, bytes_per_tile / accel.dram_bw)
-    return latency, compute, bytes_per_tile, out_bytes
+    return compute, in1_bytes + in2_bytes, drained
 
 
 def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
-    """The tile walk summed: (latency, compute_cycles, traffic dict, macs) for one repeat."""
-    latency, compute, bytes_per_tile, out_bytes = _tile_grid(op, plan, accel)
+    """The tile walk summed: one repeat's (latency, compute, dram, drained, macs)."""
+    compute, dram, drained = _tile_grid(op, plan, accel)
+    dram += drained  # in place on the loaded grid: one grid fewer at the peak
     M, K, N = matmul_dims(op)
-    W = accel.pe_width
-    in1_b, in2_b = _in_bytes(op)
-    compute_cycles = float(compute.sum())
     reps = op.kind.repetitions if isinstance(op.kind, Conv) else 1
-    macs = float(M) * K * N * reps
-    dram = float(bytes_per_tile.sum()) * reps
-    traffic = {
-        "dram": dram,
-        # W-wide array reuse: each streamed operand element feeds W MACs
-        "spad": dram + macs * (in1_b + in2_b) / W,
-        "acc": macs * _ACCUM_BYTES / W + float(out_bytes.sum()) * reps,
-    }
-    return float(latency.sum()) * reps, compute_cycles * reps, traffic, macs
+    latency = _overlap(compute, dram, accel.dram_bw)
+    return (float(latency.sum()) * reps, float(compute.sum()) * reps,
+            float(dram.sum()) * reps, float(drained.sum()) * reps, float(M) * K * N * reps)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +302,7 @@ def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
 # ---------------------------------------------------------------------------
 
 def _matvec_cost(op: OperatorSpec, accel: AcceleratorConfig):
+    """One repeat's (latency, compute, dram, drained, macs); nothing drains."""
     k: MatvecSeries = op.kind
     W = accel.pe_width
     in1_b, in2_b = _in_bytes(op)
@@ -331,18 +324,15 @@ def _matvec_cost(op: OperatorSpec, accel: AcceleratorConfig):
         by = np.full(it, float(k.rows * k.cols * in2_b + k.cols * in1_b + k.rows * out_b))
         comp = np.full(it, math.ceil(k.rows * k.cols / W) + W)
         macs = float(k.rows * k.cols) * it
-    latency = float(np.maximum(comp, by / accel.dram_bw).sum())
-    dram = float(by.sum())
-    traffic = {"dram": dram,
-               "spad": dram + macs * (in1_b + in2_b) / W,
-               "acc": macs * _ACCUM_BYTES / W}
-    return latency, float(comp.sum()), traffic, macs
+    latency = _overlap(comp, by, accel.dram_bw)
+    return float(latency.sum()), float(comp.sum()), float(by.sum()), 0.0, macs
 
 
 _STANDALONE_PASSES = 3  # load/reduce, transform, write passes for softmax & layernorm
 
 
 def _elementwise_cost(op: OperatorSpec, accel: AcceleratorConfig, wide_inputs: bool):
+    """One repeat's (latency, compute, dram, drained, macs) of SFU work."""
     k: Elementwise = op.kind
     W = accel.pe_width
     if wide_inputs:
@@ -352,14 +342,20 @@ def _elementwise_cost(op: OperatorSpec, accel: AcceleratorConfig, wide_inputs: b
         passes = k.passes
         by = float(k.elements) * (passes * op.in_precisions[0] + op.out_precision)
     comp = passes * math.ceil(k.elements / W) * accel.sfu_vector_latency
-    latency = max(comp, by / accel.dram_bw)
-    traffic = {"dram": by, "spad": by, "acc": 0.0}
-    return latency, comp, traffic, 0.0
+    return float(_overlap(comp, by, accel.dram_bw)), comp, by, 0.0, 0.0
 
 
 # ---------------------------------------------------------------------------
 # Public per-op costs
 # ---------------------------------------------------------------------------
+
+def _report(latency, energy, traffic: dict, compute, accel: AcceleratorConfig) -> CostReport:
+    """The one report constructor (`op_latency`, mapping rows): compute-bound
+    when the compute cycles reach the DRAM bytes over the DRAM bandwidth."""
+    return CostReport(latency=float(latency), energy=float(energy),
+                      traffic=MappingProxyType(traffic),
+                      compute_bound=bool(compute >= traffic["dram"] / accel.dram_bw))
+
 
 def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
                plan: TilingPlan | None = None,
@@ -368,19 +364,24 @@ def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
     if isinstance(op.kind, (Matmul, Conv)):
         if plan is None:
             plan = square_tiles(op, accel)
-        lat, comp, traffic, macs = _tiled_cost(op, plan, accel)
+        lat, comp, dram, drained, macs = _tiled_cost(op, plan, accel)
     elif isinstance(op.kind, MatvecSeries):
-        lat, comp, traffic, macs = _matvec_cost(op, accel)
+        lat, comp, dram, drained, macs = _matvec_cost(op, accel)
     elif isinstance(op.kind, Elementwise):
-        lat, comp, traffic, macs = _elementwise_cost(op, accel, wide_inputs)
+        lat, comp, dram, drained, macs = _elementwise_cost(op, accel, wide_inputs)
     else:
         raise TypeError(f"unknown kind {type(op.kind).__name__}")
+    W = accel.pe_width
     r = op.repeat
-    lat, comp, macs = lat * r, comp * r, macs * r
-    traffic = MappingProxyType({k: v * r for k, v in traffic.items()})
+    traffic = {
+        "dram": dram * r,
+        # W-wide array reuse: each streamed operand element feeds W MACs
+        "spad": (dram + macs * sum(_in_bytes(op)) / W) * r,
+        "acc": (macs * _ACCUM_BYTES / W + drained) * r,
+    }
+    macs *= r
     energy = accel.energy.total(macs, traffic["spad"], traffic["acc"], traffic["dram"])
-    return CostReport(latency=lat, energy=energy, traffic=traffic,
-                      compute_bound=comp >= traffic["dram"] / accel.dram_bw)
+    return _report(lat * r, energy, traffic, comp * r, accel)
 
 
 def _shape_key(op: OperatorSpec, wide_inputs: bool) -> tuple:

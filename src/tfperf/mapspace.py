@@ -17,12 +17,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
 from . import _kernels
-from .hwmodel import AcceleratorConfig, CostReport, InfeasibleConfigError, _out_bytes, _pad
+from .hwmodel import (AcceleratorConfig, CostReport, InfeasibleConfigError, _out_bytes, _pad,
+                      _report)
 from .workload import Conv, Matmul, OperatorSpec, _in_bytes
 
 MATMUL_DIMS = ("m", "k", "n")
@@ -113,7 +113,9 @@ class Mapping:
 
 @lru_cache(maxsize=None)
 def _divisors(x: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, x + 1) if x % d == 0)
+    """The divisors of x in ascending order: each d up to sqrt(x) with x // d."""
+    low = [d for d in range(1, math.isqrt(x) + 1) if x % d == 0]
+    return tuple(low + [x // d for d in reversed(low) if d * d != x])
 
 
 @lru_cache(maxsize=None)
@@ -261,13 +263,6 @@ def _dram_perms(names: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     return tuple(itertools.permutations(names))
 
 
-def _report(lat, en, dram, compute, accel: AcceleratorConfig) -> CostReport:
-    """CostReport of one kernel row, compute-bound by hwmodel.op_latency's rule."""
-    return CostReport(latency=float(lat), energy=float(en),
-                      traffic=MappingProxyType({"dram": float(dram)}),
-                      compute_bound=bool(compute >= dram / accel.dram_bw))
-
-
 # ---------------------------------------------------------------------------
 # Loop-order classes
 # ---------------------------------------------------------------------------
@@ -406,7 +401,8 @@ def evaluate(m: Mapping, accel: AcceleratorConfig) -> CostReport:
     batch.spatial[:, 0] = m.spatial
     batch.tiles[:, 0] = m.tiles
     batch.perm_idx[0] = _dram_perms(m.nest.names).index(m.dram_perm)
-    return _report(*(col[0] for col in _eval_batch(batch, accel)), accel)
+    lat, en, dram, compute = (col[0] for col in _eval_batch(batch, accel))
+    return _report(lat, en, {"dram": float(dram)}, compute, accel)
 
 
 @dataclass(frozen=True)
@@ -534,8 +530,9 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig):
     name_rank = np.empty(len(perms), dtype=np.int64)
     name_rank[sorted(range(len(perms)), key=perms.__getitem__)] = np.arange(len(perms))
     best = np.lexsort((name_rank[perm], *cand.tiles[::-1], *cand.spatial[::-1]))[0]
+    lat, en, dram, compute = (col[i[best]] for col in rows)
     return (space.mapping(t[i[best]], perm[best]),
-            _report(*(col[i[best]] for col in rows), accel))
+            _report(lat, en, {"dram": float(dram)}, compute, accel))
 
 
 def matched_mac_dims(conv: OperatorSpec, l: int) -> tuple[int, int]:

@@ -184,20 +184,52 @@ def test_matmul_dims_lowering(bert512):
 # Per-op cost, hand-checked
 # ---------------------------------------------------------------------------
 
-def test_single_tile_matmul_hand_computed(accel):
-    op = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(16, 16, 16))
-    rep = op_latency(op, accel)
-    # one 16x16x16 tile: 768 B moved, 16*1*1 + 16 = 32 compute cycles
-    assert rep.latency == 768 / 3.0
-    assert rep.traffic["dram"] == 768
-    assert not rep.compute_bound
-    macs = 16 ** 3
-    assert rep.traffic["spad"] == 768 + macs * 2 / 16
-    assert rep.traffic["acc"] == macs * 4 / 16 + 256
-    fast = AcceleratorConfig(dram_bw=1000.0)
-    rep2 = op_latency(op, fast)
-    assert rep2.latency == 32
-    assert rep2.compute_bound
+_TILE = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(16, 16, 16))
+_SINGLE_TILE = dict(dram=768, spad=768 + 16 ** 3 * 2 / 16, acc=16 ** 3 * 4 / 16 + 256)
+_WEIGHTS = OperatorSpec("t", OperatorClass.MhaProjection, MatvecSeries(48, 48, 4),
+                        in_precisions=(1, 2))
+_QK = OperatorSpec("t", OperatorClass.ActToAct, MatvecSeries(4, 64, 4))
+_SV = OperatorSpec("t", OperatorClass.ActToAct, MatvecSeries(64, 4, 4))
+_ELEMENTWISE = OperatorSpec("t", OperatorClass.Nonlinear, Elementwise(4096, 5, 3))
+
+
+# Each row: op, wide_inputs, dram_bw, latency, traffic, compute_bound, on a
+# 16-wide array. spad is DRAM bytes plus each MAC's operand bytes over 16;
+# acc is each MAC's 4-byte partial sum over 16 plus the drained outputs.
+@pytest.mark.parametrize("op, wide, bw, latency, traffic, compute_bound", [
+    # one 16x16x16 tile: 768 B moved (256 B of it drained), 16*1*1 + 16 = 32
+    # compute cycles
+    pytest.param(_TILE, False, 3.0, 768 / 3.0, _SINGLE_TILE, False, id="matmul"),
+    pytest.param(_TILE, False, 1000.0, 32, _SINGLE_TILE, True, id="matmul-fast-dram"),
+    # 4 steps, each a 2-byte 48x48 weight matrix reloaded with a 48 B input and
+    # a 48 B output vector: 4704 B, 48*48/16 + 16 = 160 cycles; 9216 MACs,
+    # and no drain term
+    pytest.param(_WEIGHTS, False, 3.0, 4 * 4704 / 3.0,
+                 dict(dram=4 * 4704, spad=4 * 4704 + 9216 * 3 / 16, acc=9216 * 4 / 16),
+                 False, id="matvec-weights"),
+    # step i reads i cached 64-wide keys, the 64 B query and writes i scores:
+    # 65i + 64 B, 4i + 16 cycles, 64i MACs
+    pytest.param(_QK, False, 1.0, 65 * 10 + 4 * 64,
+                 dict(dram=906, spad=906 + 640 * 2 / 16, acc=640 * 4 / 16), False,
+                 id="kv-cache-qk"),
+    # step i reads i cached 64-wide values and a 64 B operand vector, and
+    # writes one 64 B context vector: 64i + 128 B
+    pytest.param(_SV, False, 1.0, 64 * 10 + 4 * 128,
+                 dict(dram=1152, spad=1152 + 640 * 2 / 16, acc=640 * 4 / 16), False,
+                 id="kv-cache-sv"),
+    # 3 one-byte passes and a one-byte store: 16384 B over 3 * 4096/16 = 768
+    # SFU cycles; no MACs, so every byte is staged once and none accumulates
+    pytest.param(_ELEMENTWISE, False, 64.0, 768,
+                 dict(dram=16384, spad=16384, acc=0), True, id="elementwise-narrow"),
+    # standalone: 3 four-byte passes and a one-byte store, 13 B per element
+    pytest.param(_ELEMENTWISE, True, 4.0, 4096 * 13 / 4.0,
+                 dict(dram=4096 * 13, spad=4096 * 13, acc=0), False, id="elementwise-wide"),
+])
+def test_hand_computed_costs(op, wide, bw, latency, traffic, compute_bound):
+    rep = op_latency(op, AcceleratorConfig(dram_bw=bw), wide_inputs=wide)
+    assert rep.latency == latency
+    assert dict(rep.traffic) == traffic
+    assert rep.compute_bound is compute_bound
 
 
 def test_resident_operands_load_once(accel):

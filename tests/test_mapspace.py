@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -568,6 +569,23 @@ def test_exhaustive_guard(accel, monkeypatch):
     monkeypatch.setattr("tfperf.mapspace._Space", no_space)
     with pytest.raises(MapspaceTooLargeError):
         exhaustive_best(nest, accel)
+
+
+def test_divisors_match_trial_division():
+    for x in (*range(1, 3000), 5040, 720720):
+        assert _divisors(x) == tuple(d for d in range(1, x + 1) if x % d == 0), x
+
+
+def test_exhaustive_best_large_extent_budget(accel):
+    # a 10**7 extent has only 64 divisors; finding them must not cost a
+    # pass over all 10**7 candidates
+    _divisors.cache_clear()
+    _tile_choices.cache_clear()
+    t0 = time.monotonic()
+    m, _ = exhaustive_best(matmul_nest(10 ** 7, 64, 64), accel)
+    elapsed = time.monotonic() - t0
+    assert (m.spatial, m.tiles, m.dram_perm) == ((8, 1, 16), (8, 64, 64), ("k", "m", "n"))
+    assert elapsed < 0.25, elapsed
 
 
 def test_exhaustive_best_resnet_c3(accel):

@@ -48,6 +48,8 @@ SIGNATURES = [
     (mapspace.sample_costs, ("nest", "accel", "n", "seed")),
     (mapspace.sample_stats, ("nest", "accel", "n", "seed")),
     (mapspace.exhaustive_best, ("nest", "accel")),
+    # the walk returns its drained bytes apart; each caller decides what to overlap
+    (hwmodel._tile_grid, ("op", "plan", "accel")),
 ]
 
 
