@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hwmodel import (AcceleratorConfig, InfeasibleConfigError, OpCostTable, _left_sum,
-                      _wide_flags, accel_preset, greedy_tiles, op_latency)
+                      accel_preset, greedy_tiles, op_latency)
 from .workload import (ConfigError, Conv, Matmul, Mode, ModelConfig, OperatorSpec,
                        check_keys, layer_ops_encoder)
 
@@ -149,7 +149,7 @@ def _layer_ops(i: int, d: int, h: int, f: int) -> list[OperatorSpec]:
     # base num_heads=1 always divides d; the real head count enters per layer
     cfg = ModelConfig(name="nas", num_layers=1, model_dim=d, num_heads=1, ffn_dim=f,
                       seq_len=SEQ_LEN, mode=Mode.Encoder).check()
-    return layer_ops_encoder(cfg, i, heads=h, ffn_dim=f)
+    return layer_ops_encoder(cfg, i, heads=h)
 
 
 def candidate_ops(c: Candidate) -> list[OperatorSpec]:
@@ -161,8 +161,7 @@ def candidate_ops(c: Candidate) -> list[OperatorSpec]:
 
 # A layer's operators in three parts, each keyed by what it depends on:
 # wq, wk, wv, wout and add_ln1 on d; qk, softmax and sv on (d, h); w1, gelu,
-# w2 and add_ln2 on (d, d_FFN). Each part starts with a matmul, so no
-# wide-input flag crosses a part boundary.
+# w2 and add_ln2 on (d, d_FFN).
 _PARTS = ((0, 1, 2, 6, 7), (3, 4, 5), (8, 9, 10, 11))
 _PART_COLUMNS = _PARTS[0] + _PARTS[1] + _PARTS[2]  # where each part's pairs go in a layer row
 
@@ -206,9 +205,7 @@ class CostCache(OpCostTable):
         missing = [p for p in range(3) if part_keys[p] not in self._parts[p]]
         if missing:
             ops = _layer_ops(i, d, h, f)
-            wide = _wide_flags(ops)
-            reps = {j: self.cost(ops[j], wide_inputs=wide[j])
-                    for j in sorted(j for p in missing for j in _PARTS[p])}
+            reps = {j: self.cost(ops[j]) for j in sorted(j for p in missing for j in _PARTS[p])}
             for p in missing:
                 self._parts[p][part_keys[p]] = [(reps[j].latency, reps[j].energy)
                                                 for j in _PARTS[p]]
@@ -368,11 +365,9 @@ def rescore(front: ParetoFront, accel: AcceleratorConfig) -> ParetoFront:
     """High-fidelity pass: re-cost retained candidates with greedy max tiles."""
     out = []
     for c in front.points:
-        ops = candidate_ops(c)
-        reps = [op_latency(op, accel, wide_inputs=w,
-                           plan=greedy_tiles(op, accel)
+        reps = [op_latency(op, accel, plan=greedy_tiles(op, accel)
                            if isinstance(op.kind, (Matmul, Conv)) else None)
-                for op, w in zip(ops, _wide_flags(ops))]
+                for op in candidate_ops(c)]
         edp = _left_sum(r.latency for r in reps) * _left_sum(r.energy for r in reps)
         out.append(replace(c, edp=edp))
     return pareto(out)

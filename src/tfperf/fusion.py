@@ -55,6 +55,9 @@ class FusionPair:
             raise ValueError("reduction_dim must be an output dim: 'm' or 'n'")
         if not isinstance(self.consumer.kind, Elementwise):
             raise ValueError("fusion consumer must be an Elementwise operator")
+        if not self.consumer.wide_inputs:
+            raise ValueError("fusion consumer must have wide_inputs: it reads the "
+                             "producer's outputs at accumulator width")
         k = self.producer.kind
         outputs = k.M * k.N * self.producer.repeat
         if self.consumer.kind.elements * self.consumer.repeat != outputs:
@@ -138,8 +141,7 @@ def eval_pair(pair: FusionPair, accel: AcceleratorConfig) -> FusionReport:
     pair.check()
     plan = greedy_tiles(pair.producer, accel)
     producer_nonfused = op_latency(pair.producer, accel, plan=plan).latency
-    nonfused = (producer_nonfused
-                + op_latency(pair.consumer, accel, wide_inputs=True).latency)
+    nonfused = producer_nonfused + op_latency(pair.consumer, accel).latency
 
     try:
         plan = fused_constraints(pair, accel)

@@ -9,7 +9,8 @@ Execution model:
 - an input operand whose whole matrix fits its scratchpad half is loaded
   only on the first pass; otherwise it is re-fetched on every cross pass;
 - outputs accumulate in the (double-buffered) accumulator and drain once;
-  operators feeding Softmax/LayerNorm drain at 4-byte precision;
+  operators feeding Softmax/LayerNorm drain at 4-byte precision, and the
+  Softmax/LayerNorm they feed (`wide_inputs`) read at it;
 - matrix-vector series occupy one PE column per step (W MACs/cycle);
   nonlinear vector work runs on the SFU at W elements per cycle per pass,
   3 passes for standalone Softmax/LayerNorm;
@@ -259,7 +260,8 @@ def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     """Per-tile grids of the m-outer/n-middle/k-inner walk, on axes (m, n, k).
 
     Returns (compute cycles, loaded input bytes, drained output bytes) for
-    one repeat; an output block drains after its last k tile.
+    one repeat; an output block drains after its last k tile, so the drains
+    are a grid on (m, n) only, of the last k slice.
     """
     M, K, N = matmul_dims(op)
     W = accel.pe_width
@@ -279,8 +281,7 @@ def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     in2_bytes = (tk * tn * in2_b).astype(np.float64)
     if in2_resident:  # loaded only while the first m block is computed
         in2_bytes = in2_bytes * (np.arange(len(ms))[:, None, None] == 0)
-    drained = np.zeros((len(ms), len(ns), len(ks)))
-    drained[:, :, -1] = (ms[:, None] * ns[None, :]) * _out_bytes(op)
+    drained = (ms[:, None] * ns[None, :] * _out_bytes(op)).astype(np.float64)
 
     compute = tk * np.ceil(tm / W) * np.ceil(tn / W) + W
     return compute, in1_bytes + in2_bytes, drained
@@ -289,7 +290,7 @@ def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
 def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     """The tile walk summed: one repeat's (latency, compute, dram, drained, macs)."""
     compute, dram, drained = _tile_grid(op, plan, accel)
-    dram += drained  # in place on the loaded grid: one grid fewer at the peak
+    dram[:, :, -1] += drained  # in place on the loaded grid's last k slice
     M, K, N = matmul_dims(op)
     reps = op.kind.repetitions if isinstance(op.kind, Conv) else 1
     latency = _overlap(compute, dram, accel.dram_bw)
@@ -331,11 +332,11 @@ def _matvec_cost(op: OperatorSpec, accel: AcceleratorConfig):
 _STANDALONE_PASSES = 3  # load/reduce, transform, write passes for softmax & layernorm
 
 
-def _elementwise_cost(op: OperatorSpec, accel: AcceleratorConfig, wide_inputs: bool):
+def _elementwise_cost(op: OperatorSpec, accel: AcceleratorConfig):
     """One repeat's (latency, compute, dram, drained, macs) of SFU work."""
     k: Elementwise = op.kind
     W = accel.pe_width
-    if wide_inputs:
+    if op.wide_inputs:
         passes = _STANDALONE_PASSES
         by = float(k.elements) * (passes * _ACCUM_BYTES + op.out_precision)
     else:
@@ -358,8 +359,7 @@ def _report(latency, energy, traffic: dict, compute, accel: AcceleratorConfig) -
 
 
 def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
-               plan: TilingPlan | None = None,
-               wide_inputs: bool = False) -> CostReport:
+               plan: TilingPlan | None = None) -> CostReport:
     """Latency/energy/traffic of one operator (all `repeat` instances)."""
     if isinstance(op.kind, (Matmul, Conv)):
         if plan is None:
@@ -368,7 +368,7 @@ def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
     elif isinstance(op.kind, MatvecSeries):
         lat, comp, dram, drained, macs = _matvec_cost(op, accel)
     elif isinstance(op.kind, Elementwise):
-        lat, comp, dram, drained, macs = _elementwise_cost(op, accel, wide_inputs)
+        lat, comp, dram, drained, macs = _elementwise_cost(op, accel)
     else:
         raise TypeError(f"unknown kind {type(op.kind).__name__}")
     W = accel.pe_width
@@ -384,11 +384,11 @@ def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
     return _report(lat * r, energy, traffic, comp * r, accel)
 
 
-def _shape_key(op: OperatorSpec, wide_inputs: bool) -> tuple:
+def _shape_key(op: OperatorSpec) -> tuple:
     # everything op_latency reads but the name; op.kind is a frozen
     # dataclass, so its equality already compares the class
     return (op.op_class, op.kind, op.repeat, op.in_precisions, op.out_precision,
-            op.pre_nonlinear, wide_inputs)
+            op.pre_nonlinear, op.wide_inputs)
 
 
 class OpCostTable:
@@ -409,14 +409,14 @@ class OpCostTable:
     def __len__(self) -> int:
         return len(self._table)
 
-    def cost(self, op: OperatorSpec, wide_inputs: bool = False) -> CostReport:
-        key = _shape_key(op, wide_inputs)
+    def cost(self, op: OperatorSpec) -> CostReport:
+        key = _shape_key(op)
         hit = self._table.get(key)
         if hit is not None:
             self.hits += 1
             return hit
         self.misses += 1
-        rep = op_latency(op, self.accel, wide_inputs=wide_inputs)
+        rep = op_latency(op, self.accel)
         self._table[key] = rep
         return rep
 
@@ -428,25 +428,14 @@ def report_intensity(op: OperatorSpec, rep: CostReport) -> float:
     return flops(op) / rep.traffic["dram"]
 
 
-def nonideal_intensity(op: OperatorSpec, accel: AcceleratorConfig,
-                       wide_inputs: bool = False) -> float:
-    """FLOPs over modeled DRAM traffic (tiling reloads, wide drains)."""
-    return report_intensity(op, op_latency(op, accel, wide_inputs=wide_inputs))
+def nonideal_intensity(op: OperatorSpec, accel: AcceleratorConfig) -> float:
+    """FLOPs over modeled DRAM traffic (tiling reloads, wide drains and reads)."""
+    return report_intensity(op, op_latency(op, accel))
 
 
 # ---------------------------------------------------------------------------
 # Whole-model views
 # ---------------------------------------------------------------------------
-
-def _wide_flags(ops: Sequence[OperatorSpec]) -> list[bool]:
-    """Elementwise op i reads 4-byte inputs when fed by a pre-nonlinear op."""
-    flags = []
-    prev_wide = False
-    for op in ops:
-        flags.append(isinstance(op.kind, Elementwise) and prev_wide)
-        prev_wide = op.pre_nonlinear
-    return flags
-
 
 def model_costs(cfg: ModelConfig, accel: AcceleratorConfig):
     """(op, CostReport) per operator, full model, non-fused execution.
@@ -454,10 +443,8 @@ def model_costs(cfg: ModelConfig, accel: AcceleratorConfig):
     Identical layers repeat their operators, so each distinct operator is
     costed once, through a table made for this call; repeats share its report.
     """
-    ops = model_ops(cfg)
     table = OpCostTable(accel)
-    return [(op, table.cost(op, wide_inputs=wide))
-            for op, wide in zip(ops, _wide_flags(ops))]
+    return [(op, table.cost(op)) for op in model_ops(cfg)]
 
 
 def latency_breakdown(cfg: ModelConfig, accel: AcceleratorConfig) -> dict:
@@ -523,7 +510,7 @@ def memory_split_sweep(cfg: ModelConfig, accel: AcceleratorConfig, total_kb: int
     """
     ops = [op for op in model_ops(cfg) if isinstance(op.kind, (Matmul, Conv, MatvecSeries))]
     slot: dict = {}  # each distinct shape's index
-    slots = [slot.setdefault(_shape_key(op, False), len(slot)) for op in ops]
+    slots = [slot.setdefault(_shape_key(op), len(slot)) for op in ops]
     shapes = list(dict(zip(slots, ops)).values())  # one op of each shape, in slot order
     costed: dict = {}  # a shape's slot (matvec) or (slot, plan, residency) -> latency
     rows = []

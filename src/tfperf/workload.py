@@ -112,6 +112,9 @@ class OperatorSpec:
     # True for matmuls whose output immediately feeds Softmax/LayerNorm; the
     # non-ideal (hardware) paths widen these outputs to accumulator precision.
     pre_nonlinear: bool = False
+    # True for the Softmax/LayerNorm such a matmul feeds: the hardware paths
+    # read its inputs at accumulator precision, in three standalone passes.
+    wide_inputs: bool = False
 
 
 @dataclass(frozen=True)
@@ -227,32 +230,31 @@ def intensity(flop_count: float, mop_count: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _matmul_op(name: str, cls: OperatorClass, M: int, K: int, N: int, cfg: ModelConfig,
-               repeat: int = 1, pre_nonlinear: bool = False) -> OperatorSpec:
+               pre_nonlinear: bool = False) -> OperatorSpec:
     # weight matmuls are oriented (M x K) weights times (K x N) activations
     a = cfg.activation_precision
-    return OperatorSpec(name, cls, Matmul(M, K, N), repeat=repeat,
+    return OperatorSpec(name, cls, Matmul(M, K, N),
                         in_precisions=(cfg.weight_precision, a), out_precision=a,
                         pre_nonlinear=pre_nonlinear)
 
 
 def _elementwise_op(name: str, elements: int, f_per_el: int, passes: int,
-                    cfg: ModelConfig, cls: OperatorClass = OperatorClass.Nonlinear) -> OperatorSpec:
+                    cfg: ModelConfig, wide_inputs: bool = False) -> OperatorSpec:
     a = cfg.activation_precision
-    return OperatorSpec(name, cls, Elementwise(elements, f_per_el, passes),
-                        in_precisions=(a,), out_precision=a)
+    return OperatorSpec(name, OperatorClass.Nonlinear, Elementwise(elements, f_per_el, passes),
+                        in_precisions=(a,), out_precision=a, wide_inputs=wide_inputs)
 
 
-def layer_ops_encoder(cfg: ModelConfig, layer: int, heads: int | None = None,
-                      ffn_dim: int | None = None) -> list[OperatorSpec]:
+def layer_ops_encoder(cfg: ModelConfig, layer: int, heads: int | None = None) -> list[OperatorSpec]:
     """The 12 operator records of one encoder layer.
 
-    `heads`/`ffn_dim` override the config per layer (used by the architecture
-    search); head dim is floor(d/h) with any remainder dropped from the
-    act-to-act shapes only.
+    `heads` overrides the config's head count per layer (used by the
+    architecture search); head dim is floor(d/h) with any remainder dropped
+    from the act-to-act shapes only. Each Softmax/LayerNorm reads the output
+    of the pre-nonlinear matmul before it, so it has wide inputs.
     """
-    d, l = cfg.model_dim, cfg.seq_len
+    d, l, dff = cfg.model_dim, cfg.seq_len, cfg.ffn_dim
     h = heads if heads is not None else cfg.num_heads
-    dff = ffn_dim if ffn_dim is not None else cfg.ffn_dim
     if not 1 <= h <= d:
         raise ConfigError(f"layer {layer}: h={h} heads need 1 <= h <= d={d}")
     dh = d // h
@@ -265,16 +267,16 @@ def layer_ops_encoder(cfg: ModelConfig, layer: int, heads: int | None = None,
         OperatorSpec(p + "qk", A2A, Matmul(l, dh, l), repeat=h,
                      in_precisions=(cfg.activation_precision,) * 2,
                      out_precision=cfg.activation_precision, pre_nonlinear=True),
-        _elementwise_op(p + "softmax", h * l * l, 5, 1, cfg),
+        _elementwise_op(p + "softmax", h * l * l, 5, 1, cfg, wide_inputs=True),
         OperatorSpec(p + "sv", A2A, Matmul(l, l, dh), repeat=h,
                      in_precisions=(cfg.activation_precision,) * 2,
                      out_precision=cfg.activation_precision),
         _matmul_op(p + "wout", P, d, d, l, cfg, pre_nonlinear=True),
-        _elementwise_op(p + "add_ln1", d * l, 8, 3, cfg),
+        _elementwise_op(p + "add_ln1", d * l, 8, 3, cfg, wide_inputs=True),
         _matmul_op(p + "w1", F, dff, d, l, cfg),
         _elementwise_op(p + "gelu", dff * l, 8, 1, cfg),
         _matmul_op(p + "w2", F, d, dff, l, cfg, pre_nonlinear=True),
-        _elementwise_op(p + "add_ln2", d * l, 8, 3, cfg),
+        _elementwise_op(p + "add_ln2", d * l, 8, 3, cfg, wide_inputs=True),
     ]
     return ops
 
@@ -313,9 +315,11 @@ def decoder_ops(cfg: ModelConfig) -> list[OperatorSpec]:
             series(p + "wv", P, d, d),
             OperatorSpec(p + "qk", A2A, MatvecSeries(l, dh, l), repeat=h,
                          in_precisions=(a, a), out_precision=a, pre_nonlinear=True),
-            _elementwise_op(p + "softmax", h * (l * (l + 1) // 2), 5, 1, cfg),
+            _elementwise_op(p + "softmax", h * (l * (l + 1) // 2), 5, 1, cfg, wide_inputs=True),
             OperatorSpec(p + "sv", A2A, MatvecSeries(dh, l, l), repeat=h,
                          in_precisions=(a, a), out_precision=a),
+            # wout and w2 are not pre_nonlinear here, so the LayerNorms after
+            # them read narrow inputs (unlike the encoder's)
             series(p + "wout", P, d, d),
             _elementwise_op(p + "add_ln1", d * l, 8, 3, cfg),
             series(p + "w1", F, dff, d),

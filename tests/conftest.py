@@ -49,6 +49,11 @@ def resnet50_conv_flops() -> int:
     return conv_flops(*RESNET50_STEM) + resnet50_stage_conv_flops()
 
 
+# a small JSON decoder, `decoder3.json` in the CLI goldens
+DECODER3 = {"name": "decoder3", "layers": 3, "d": 256, "heads": 4, "d_ffn": 1024,
+            "mode": "decoder"}
+
+
 @pytest.fixture(scope="session")
 def accel():
     return accel_preset("gemmini-baseline")

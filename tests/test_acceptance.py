@@ -5,6 +5,7 @@ prints `CRITERION <n> PASS: ...` on success; a failed test is the FAIL line.
 """
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from tfperf.workload import (
 )
 from tfperf.hwmodel import (
     AcceleratorConfig,
-    _wide_flags,
     accel_preset,
     memory_split_sweep,
     model_nonideal_intensity,
@@ -185,9 +185,8 @@ def test_criterion_04b_resnet_rows_and_totals():
 def test_criterion_05_nonideal_ai_properties():
     for l in (128, 512, 4096):
         cfg = model_preset("bert-base", seq_len=l)
-        ops = model_ops(cfg)
-        for op, wide in zip(ops, _wide_flags(ops)):
-            nai = nonideal_intensity(op, ACCEL, wide_inputs=wide)
+        for op in model_ops(cfg):
+            nai = nonideal_intensity(op, ACCEL)
             ideal = flops(op) / mops(op)
             assert nai <= ideal + 1e-9, (l, op.name)
     cfg = model_preset("bert-base", seq_len=4096)
@@ -337,10 +336,11 @@ def test_criterion_10_determinism_and_oracles():
 
     # CostCache transparency on 10^3 random shapes
     cache = CostCache(ACCEL)
-    for op in _random_ops(1000, seed=23):
-        wide = isinstance(op.kind, Elementwise) and bool(hash(op.name) % 2)
-        got = cache.cost(op, wide_inputs=wide)
-        want = op_latency(op, ACCEL, wide_inputs=wide)
+    flags = np.random.default_rng(29).integers(2, size=1000)
+    for op, flag in zip(_random_ops(1000, seed=23), flags):
+        op = replace(op, wide_inputs=isinstance(op.kind, Elementwise) and bool(flag))
+        got = cache.cost(op)
+        want = op_latency(op, ACCEL)
         assert (got.latency, got.energy, got.traffic, got.compute_bound) == \
                (want.latency, want.energy, want.traffic, want.compute_bound), op.name
 

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfperf.workload import ConfigError
-from tfperf.hwmodel import (AcceleratorConfig, InfeasibleConfigError, _wide_flags,
-                            accel_preset, op_latency)
+from tfperf.hwmodel import AcceleratorConfig, InfeasibleConfigError, accel_preset, op_latency
 from tfperf.archsearch import (
     DEFAULT_SPACE,
     Candidate,
@@ -179,14 +178,13 @@ def test_t11_edp_beats_baseline(accel):
 def test_cost_cache_transparent(accel):
     cache = CostCache(accel)
     ops = candidate_ops(T11)
-    wide = _wide_flags(ops)
-    for op, w in zip(ops, wide):
-        got = cache.cost(op, wide_inputs=w)
-        want = op_latency(op, accel, wide_inputs=w)
+    for op in ops:
+        got = cache.cost(op)
+        want = op_latency(op, accel)
         assert got.latency == want.latency and got.energy == want.energy, op.name
     assert cache.misses == len(cache)
     before = (cache.hits, cache.misses)
-    cache.cost(ops[0], wide_inputs=wide[0])
+    cache.cost(ops[0])
     assert cache.hits == before[0] + 1 and cache.misses == before[1]
 
 
@@ -200,10 +198,9 @@ def test_cached_edp_matches_uncached(accel):
 
 def _flat_edp(c, accel):
     """Reference: every operator of the candidate costed afresh, summed in op order."""
-    ops = candidate_ops(c)
     lat = energy = 0.0
-    for op, w in zip(ops, _wide_flags(ops)):
-        rep = op_latency(op, accel, wide_inputs=w)
+    for op in candidate_ops(c):
+        rep = op_latency(op, accel)
         lat += rep.latency
         energy += rep.energy
     return lat * energy

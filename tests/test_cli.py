@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from tfperf import cli, hwmodel, mapspace
 from tfperf.cli import COMMANDS, build_parser, main
-from tfperf.hwmodel import _shape_key, _wide_flags, accel_preset
+from tfperf.hwmodel import _shape_key, accel_preset
 from tfperf.workload import model_ops, model_preset, resnet50_ops
+
+from conftest import DECODER3
 
 
 def run(capsys, *argv):
@@ -145,7 +147,7 @@ def test_costing_command_costs_each_distinct_operator_once(capsys, monkeypatch, 
 
     monkeypatch.setattr(hwmodel, "op_latency", counted)
     ops = model_ops(model_preset("bert-base", 512))
-    distinct = {_shape_key(op, w) for op, w in zip(ops, _wide_flags(ops))}
+    distinct = {_shape_key(op) for op in ops}
     counts = []
     for _ in range(2):  # no table survives an invocation
         calls.clear()
@@ -756,8 +758,6 @@ def test_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
 GOLDENS = Path(__file__).parent / "data" / "cli_goldens.json"
 GOLDEN_COMMANDS = ("latency", "nonideal-ai", "memsweep")
 GOLDEN_MODELS = ("bert-base", "bert-large", "gpt2", "resnet50", "decoder3.json")
-DECODER3 = {"name": "decoder3", "layers": 3, "d": 256, "heads": 4, "d_ffn": 1024,
-            "mode": "decoder"}
 
 
 def golden_argvs(command: str, model: str):

@@ -77,6 +77,15 @@ def test_pair_check_rejects_producer_not_pre_nonlinear():
         FusionPair(narrow, pair.consumer, "n").check()
 
 
+def test_pair_check_rejects_consumer_without_wide_inputs():
+    # a hand-built consumer must say it reads the producer's outputs wide, or
+    # its standalone cost would read them narrow
+    pair = bert_pair("qk-softmax", 8)
+    narrow = replace(pair.consumer, wide_inputs=False)
+    with pytest.raises(ValueError, match="wide_inputs"):
+        FusionPair(pair.producer, narrow, "n").check()
+
+
 def test_pair_check_rejects_non_elementwise_consumer():
     pair = bert_pair("qk-softmax", 8)
     with pytest.raises(ValueError, match="Elementwise"):
@@ -136,7 +145,8 @@ def test_constraints_size_each_operand_at_its_own_width():
     # tile bounds the k-slice at 1 byte per element, not at the wider 2
     producer = OperatorSpec("p", OperatorClass.ActToAct, Matmul(64, 4096, 1024),
                             in_precisions=(2, 1), pre_nonlinear=True)
-    consumer = OperatorSpec("c", OperatorClass.Nonlinear, Elementwise(64 * 1024, 5, 1))
+    consumer = OperatorSpec("c", OperatorClass.Nonlinear, Elementwise(64 * 1024, 5, 1),
+                            wide_inputs=True)
     c = fused_constraints(FusionPair(producer, consumer, "n"), accel_preset("gemmini-baseline"))
     assert (c.tile_m, c.tile_k, c.tile_n) == (8, 128, 1024)
     # the byte count and the loop nest read the same two widths
@@ -208,7 +218,7 @@ def test_softmax_dominates_nonfused_cycles():
     base = accel_preset("gemmini-baseline")
     pair = bert_pair("qk-softmax", 512)
     r = eval_pair(pair, base)
-    cons = op_latency(pair.consumer, base, wide_inputs=True).latency
+    cons = op_latency(pair.consumer, base).latency
     share = cons / r.nonfused_latency
     assert share == pytest.approx(0.7536231884057971, rel=1e-12)
     assert share >= 0.60
@@ -220,7 +230,7 @@ def test_hidden_cycles_bounded_by_consumer_work():
         for kb in (128, 256):
             pair = bert_pair(name, 512)
             r = eval_pair(pair, _accel(kb))
-            standalone = op_latency(pair.consumer, _accel(kb), wide_inputs=True).latency
+            standalone = op_latency(pair.consumer, _accel(kb)).latency
             assert 0 <= r.hidden_cycles <= standalone, (name, kb)
 
 

@@ -2,11 +2,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tfperf import hwmodel
 from tfperf.workload import (
+    Conv,
     Elementwise,
     Matmul,
     MatvecSeries,
@@ -26,7 +28,8 @@ from tfperf.hwmodel import (
     OpCostTable,
     TilingPlan,
     _shape_key,
-    _wide_flags,
+    _tile_grid,
+    _tiled_cost,
     accel_from_json,
     accel_preset,
     greedy_tiles,
@@ -42,6 +45,8 @@ from tfperf.hwmodel import (
     square_tiles,
 )
 from tfperf.mapspace import Mapping, evaluate, nest_of
+
+from conftest import DECODER3
 
 
 def _op(name: str, cfg: ModelConfig) -> OperatorSpec:
@@ -226,7 +231,7 @@ _ELEMENTWISE = OperatorSpec("t", OperatorClass.Nonlinear, Elementwise(4096, 5, 3
                  dict(dram=4096 * 13, spad=4096 * 13, acc=0), False, id="elementwise-wide"),
 ])
 def test_hand_computed_costs(op, wide, bw, latency, traffic, compute_bound):
-    rep = op_latency(op, AcceleratorConfig(dram_bw=bw), wide_inputs=wide)
+    rep = op_latency(replace(op, wide_inputs=wide), AcceleratorConfig(dram_bw=bw))
     assert rep.latency == latency
     assert dict(rep.traffic) == traffic
     assert rep.compute_bound is compute_bound
@@ -286,6 +291,49 @@ def test_wide_output_drains_four_bytes(accel):
     assert wide.traffic["dram"] - narrow.traffic["dram"] == 64 * 64 * 3
 
 
+def _tiled_cost_with_3d_drains(op, plan, accel):
+    """`_tiled_cost` summed over a full (m, n, k) drain grid that is nonzero
+    only on the last k slice: the reference for adding the (m, n) drain grid
+    into the last k slice alone."""
+    compute, loaded, _ = _tile_grid(op, plan, accel)
+    M, K, N = matmul_dims(op)
+    ms = np.diff(np.r_[0:M:plan.tile_m, M])
+    ns = np.diff(np.r_[0:N:plan.tile_n, N])
+    drained = np.zeros(compute.shape)
+    drained[:, :, -1] = ms[:, None] * ns[None, :] * (4 if op.pre_nonlinear else op.out_precision)
+    dram = loaded + drained
+    reps = op.kind.repetitions if isinstance(op.kind, Conv) else 1
+    latency = np.maximum(compute, dram / accel.dram_bw)
+    return (float(latency.sum()) * reps, float(compute.sum()) * reps,
+            float(dram.sum()) * reps, float(drained.sum()) * reps, float(M) * K * N * reps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(1, 160), K=st.integers(1, 160), N=st.integers(1, 160),
+       conv=st.booleans(), prec=st.sampled_from(((1, 1), (2, 1), (1, 4))),
+       wide=st.booleans(), W=st.sampled_from((4, 8, 16)),
+       spad_kb=st.sampled_from((1, 4, 64)), bw=st.sampled_from((1.0, 3.0, 8.0)),
+       data=st.data())
+@example(M=64, K=64, N=64, conv=False, prec=(1, 1), wide=False, W=16, spad_kb=64, bw=3.0,
+         data=None)  # both inputs resident, one tile
+@example(M=150, K=100, N=130, conv=False, prec=(2, 1), wide=True, W=16, spad_kb=1, bw=3.0,
+         data=None)  # neither input resident, ragged edges on every axis
+def test_tile_walk_drains_only_the_last_k_slice(M, K, N, conv, prec, wide, W, spad_kb, bw,
+                                                 data):
+    kind = Conv(1, K, N, M, 1, repetitions=3) if conv else Matmul(M, K, N)
+    op = OperatorSpec("t", OperatorClass.FfnProjection, kind, in_precisions=prec,
+                      out_precision=prec[1], pre_nonlinear=wide)
+    accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=spad_kb * 1024,
+                              accumulator_bytes=64 * 1024, dram_bw=bw).check()
+    if data is None:
+        plan = TilingPlan(32, 48, 32)
+    else:
+        plan = TilingPlan(*(data.draw(st.integers(1, x)) for x in matmul_dims(op)))
+    compute, _, drained = _tile_grid(op, plan, accel)
+    assert drained.shape == compute.shape[:2]
+    assert _tiled_cost(op, plan, accel) == _tiled_cost_with_3d_drains(op, plan, accel)
+
+
 def test_matvec_series_memory_bound(accel):
     op = OperatorSpec("t", OperatorClass.MhaProjection, MatvecSeries(768, 768, 64))
     rep = op_latency(op, accel)
@@ -296,8 +344,8 @@ def test_matvec_series_memory_bound(accel):
 
 def test_elementwise_wide_inputs(accel):
     op = OperatorSpec("t", OperatorClass.Nonlinear, Elementwise(4096, 5, 3))
-    narrow = op_latency(op, accel, wide_inputs=False)
-    wide = op_latency(op, accel, wide_inputs=True)
+    narrow = op_latency(op, accel)
+    wide = op_latency(replace(op, wide_inputs=True), accel)
     # standalone wide read: 3 four-byte passes + 1-byte store = 13 B/element
     assert wide.traffic["dram"] == 4096 * 13
     assert narrow.traffic["dram"] == 4096 * (3 * 1 + 1)
@@ -308,7 +356,7 @@ def test_nonideal_intensity_below_ideal(accel, bert512):
     from tfperf.workload import mops
     for op in encoder_ops(bert512):
         wide = isinstance(op.kind, Elementwise)
-        nai = nonideal_intensity(op, accel, wide_inputs=wide)
+        nai = nonideal_intensity(replace(op, wide_inputs=wide), accel)
         assert nai <= flops(op) / mops(op) + 1e-12, op.name
 
 
@@ -318,7 +366,7 @@ def test_nonideal_intensity_below_ideal(accel, bert512):
 
 def test_wide_flags_pattern(bert512):
     ops = encoder_ops(bert512)
-    flags = _wide_flags(ops)
+    flags = [op.wide_inputs for op in ops]
     per_layer = {op.name.split(".", 1)[1]: f for op, f in zip(ops[:12], flags[:12])}
     assert per_layer == {
         "wq": False, "wk": False, "wv": False, "qk": False,
@@ -449,17 +497,17 @@ def test_memory_split_sweep_costs_each_walk_once(monkeypatch, accel, model):
     walks, matvecs = [], []
     op_latency = hwmodel.op_latency
 
-    def counted(op, split, plan=None, wide_inputs=False):
+    def counted(op, split, plan=None):
         assert not isinstance(op.kind, Elementwise)
         if isinstance(op.kind, MatvecSeries):
-            matvecs.append(_shape_key(op, wide_inputs))
+            matvecs.append(_shape_key(op))
         else:
             M, K, N = matmul_dims(op)
             in1_b, in2_b = hwmodel._in_bytes(op)
             half = split.scratchpad_bytes // 2
-            walks.append((_shape_key(op, wide_inputs), plan or square_tiles(op, split),
+            walks.append((_shape_key(op), plan or square_tiles(op, split),
                           M * K * in1_b <= half, K * N * in2_b <= half))
-        return op_latency(op, split, plan=plan, wide_inputs=wide_inputs)
+        return op_latency(op, split, plan=plan)
 
     monkeypatch.setattr(hwmodel, "op_latency", counted)
     rows, _ = memory_split_sweep(_sweep_model(model, 512), accel, 1024)
@@ -592,8 +640,6 @@ def test_op_latency_monotone_in_bw(bw):
 # Operator-cost table
 # ---------------------------------------------------------------------------
 
-DECODER3 = {"name": "decoder3", "layers": 3, "d": 256, "heads": 4, "d_ffn": 1024,
-            "mode": "decoder"}
 
 
 def _report_fields(rep) -> tuple:
@@ -610,8 +656,8 @@ def test_model_costs_match_uncached_op_latency(model, accel_name, seq_len):
     ops = model_ops(cfg)
     costs = model_costs(cfg, accel)
     assert [op for op, _ in costs] == ops
-    for (op, rep), wide in zip(costs, _wide_flags(ops)):
-        want = op_latency(op, accel, wide_inputs=wide)
+    for op, rep in costs:
+        want = op_latency(op, accel)
         assert _report_fields(rep) == _report_fields(want), op.name
 
 
@@ -625,19 +671,18 @@ def test_model_costs_share_reports_of_repeated_layers(accel, bert512):
 
 def test_op_cost_table_counts_and_keys(accel, bert512):
     ops = model_ops(bert512)
-    wide = _wide_flags(ops)
     table = OpCostTable(accel)
-    for op, w in zip(ops, wide):
-        table.cost(op, wide_inputs=w)
-    distinct = {_shape_key(op, w) for op, w in zip(ops, wide)}
+    for op in ops:
+        table.cost(op)
+    distinct = {_shape_key(op) for op in ops}
     # per layer, wq/wk/wv share one shape and so do the two add+LayerNorm steps
     assert len(table) == table.misses == len(distinct) == 9
     assert table.hits == len(ops) - len(distinct)
     # the name is not part of the key; the wide flag is
     assert table.cost(replace(ops[0], name="renamed")) is table.cost(ops[0])
-    softmax = next(op for op, w in zip(ops, wide) if w)
-    assert (table.cost(softmax, wide_inputs=False).traffic["dram"]
-            < table.cost(softmax, wide_inputs=True).traffic["dram"])
+    softmax = next(op for op in ops if op.wide_inputs)
+    assert (table.cost(replace(softmax, wide_inputs=False)).traffic["dram"]
+            < table.cost(softmax).traffic["dram"])
     # a table costs on the accelerator it was built for
     other = AcceleratorConfig(dram_bw=accel.dram_bw * 2)
     assert (_report_fields(OpCostTable(other).cost(ops[0]))
@@ -647,6 +692,7 @@ def test_op_cost_table_counts_and_keys(accel, bert512):
 
 _MM = OperatorSpec("mm", OperatorClass.FfnProjection, Matmul(96, 64, 80))
 _MV = OperatorSpec("mv", OperatorClass.ActToAct, MatvecSeries(64, 64, 64))
+_EW = OperatorSpec("ew", OperatorClass.Nonlinear, Elementwise(4096, 8, 3))
 
 
 @pytest.mark.parametrize("base, variant", [
@@ -656,7 +702,9 @@ _MV = OperatorSpec("mv", OperatorClass.ActToAct, MatvecSeries(64, 64, 64))
     (_MM, replace(_MM, out_precision=2)),
     (_MM, replace(_MM, pre_nonlinear=True)),
     (_MV, replace(_MV, op_class=OperatorClass.FfnProjection)),
-], ids=["kind", "repeat", "in_precisions", "out_precision", "pre_nonlinear", "op_class"])
+    (_EW, replace(_EW, wide_inputs=True)),
+], ids=["kind", "repeat", "in_precisions", "out_precision", "pre_nonlinear", "op_class",
+        "wide_inputs"])
 def test_op_cost_table_keys_every_field_op_latency_reads(accel, base, variant):
     table = OpCostTable(accel)
     first = table.cost(base)

@@ -14,17 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from tfperf import _kernels, archsearch, fusion, hwmodel, mapspace
+from tfperf import _kernels, archsearch, fusion, hwmodel, mapspace, workload
 
 SIGNATURES = [
     (hwmodel.OpCostTable, ("accel",)),
-    (hwmodel.OpCostTable.cost, ("self", "op", "wide_inputs")),
+    (hwmodel.OpCostTable.cost, ("self", "op")),
     (hwmodel.EnergyTable.total, ("self", "macs", "spad", "acc", "dram")),
     (hwmodel.accel_preset, ("name",)),
     (hwmodel.memory_split_sweep, ("cfg", "accel", "total_kb")),
-    (hwmodel.op_latency, ("op", "accel", "plan", "wide_inputs")),
+    (hwmodel.op_latency, ("op", "accel", "plan")),
     (archsearch.CostCache, ("accel",)),
-    (archsearch.CostCache.cost, ("self", "op", "wide_inputs")),
+    (archsearch.CostCache.cost, ("self", "op")),
     (archsearch.candidate_ops, ("c",)),
     (archsearch.candidate_edp, ("c", "cache")),
     (archsearch.evaluate, ("c", "cache")),
@@ -41,7 +41,7 @@ SIGNATURES = [
     # widths come from the operator (hwmodel) or the loop nest (mapspace)
     (hwmodel.square_tiles, ("op", "accel")),
     (hwmodel.greedy_tiles, ("op", "accel")),
-    (hwmodel.nonideal_intensity, ("op", "accel", "wide_inputs")),
+    (hwmodel.nonideal_intensity, ("op", "accel")),
     (mapspace.validate, ("m", "accel")),
     (mapspace.evaluate, ("m", "accel")),
     (mapspace.random_mapping, ("nest", "accel", "seed")),
@@ -50,6 +50,8 @@ SIGNATURES = [
     (mapspace.exhaustive_best, ("nest", "accel")),
     # the walk returns its drained bytes apart; each caller decides what to overlap
     (hwmodel._tile_grid, ("op", "plan", "accel")),
+    # the builders set each operator's widths; no caller overrides them
+    (workload.layer_ops_encoder, ("cfg", "layer", "heads")),
 ]
 
 
@@ -66,6 +68,13 @@ def test_accelerator_fields_are_pinned():
     fields = tuple(f.name for f in dataclasses.fields(hwmodel.AcceleratorConfig))
     assert fields == ("pe_width", "scratchpad_bytes", "accumulator_bytes", "dram_bw",
                       "sfu_vector_latency", "energy")
+
+
+def test_operator_fields_are_pinned():
+    # the read width is a field of the operator, as the drain width is
+    assert tuple(f.name for f in dataclasses.fields(workload.OperatorSpec)) == (
+        "name", "op_class", "kind", "repeat", "in_precisions", "out_precision",
+        "pre_nonlinear", "wide_inputs")
 
 
 def test_plan_and_nest_fields_are_pinned():

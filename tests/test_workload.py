@@ -14,7 +14,7 @@ from tfperf.workload import (CATEGORY_ACT_TO_ACT, CATEGORY_FFN, CATEGORY_OTHER,
                              model_from_json, model_ops, model_preset, mops,
                              profile, resnet50_ops)
 
-from conftest import resnet50_conv_flops, sig3
+from conftest import DECODER3, resnet50_conv_flops, sig3
 
 
 def _cat(cfg, cat):
@@ -212,6 +212,36 @@ def test_encoder_layer_structure(bert512):
                      "add_ln1", "w1", "gelu", "w2", "add_ln2"]
     wide = {n for n, o in zip(names, ops[:12]) if o.pre_nonlinear}
     assert wide == {"qk", "wout", "w2"}
+
+
+def _positional_wide_flags(ops):
+    """The reference read-width rule: an Elementwise op reads wide inputs
+    exactly when the op just before it in the model is pre_nonlinear."""
+    flags, prev_wide = [], False
+    for op in ops:
+        flags.append(isinstance(op.kind, Elementwise) and prev_wide)
+        prev_wide = op.pre_nonlinear
+    return flags
+
+
+@pytest.mark.parametrize("seq_len", [1, 128, 512])
+@pytest.mark.parametrize("model", ["bert-base", "bert-large", "gpt2", "resnet50", "decoder3"])
+def test_builders_set_wide_inputs_by_the_positional_rule(model, seq_len):
+    cfg = (model_from_json(DECODER3, seq_len=seq_len) if model == "decoder3"
+           else model_preset(model, seq_len))
+    ops = model_ops(cfg)
+    assert [op.wide_inputs for op in ops] == _positional_wide_flags(ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=st.fixed_dictionaries({
+    "layers": st.integers(1, 3), "d": st.sampled_from([64, 96, 128]),
+    "heads": st.sampled_from([1, 2, 4]), "d_ffn": st.sampled_from([64, 128, 256]),
+    "seq_len": st.integers(1, 64), "mode": st.sampled_from(["encoder", "decoder"]),
+    "act_bytes": st.sampled_from([1, 2, 4]), "weight_bytes": st.sampled_from([1, 2, 4])}))
+def test_json_models_set_wide_inputs_by_the_positional_rule(doc):
+    ops = model_ops(model_from_json(doc))
+    assert [op.wide_inputs for op in ops] == _positional_wide_flags(ops)
 
 
 def test_decoder_layer_structure():
