@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hwmodel import (AcceleratorConfig, InfeasibleConfigError, OpCostTable, _left_sum,
-                      accel_preset, greedy_tiles, op_latency)
-from .workload import (ConfigError, Conv, Matmul, Mode, ModelConfig, OperatorSpec,
-                       check_keys, layer_ops_encoder)
+from .hwmodel import AcceleratorConfig, InfeasibleConfigError, OpCostTable, accel_preset
+from .workload import ConfigError, Mode, ModelConfig, OperatorSpec, check_keys, layer_ops_encoder
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,7 @@ def _cost_round(cands: list[Candidate], cache: CostCache):
                 key = (c.d, c.h[i], c.d_FFN[i])
                 row = layers.get(key)
                 ids.append(cache._layer(i, key) if row is None else row)
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             errors.append((c, exc))
             continue
         kept.append(c)
@@ -359,15 +357,3 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
             population.append(mutate(front.points[i % len(front.points)], p, rng, space))
             i += 1
     return ParetoFront(front.points, tuple(trace), tuple(discarded)).check()
-
-
-def rescore(front: ParetoFront, accel: AcceleratorConfig) -> ParetoFront:
-    """High-fidelity pass: re-cost retained candidates with greedy max tiles."""
-    out = []
-    for c in front.points:
-        reps = [op_latency(op, accel, plan=greedy_tiles(op, accel)
-                           if isinstance(op.kind, (Matmul, Conv)) else None)
-                for op in candidate_ops(c)]
-        edp = _left_sum(r.latency for r in reps) * _left_sum(r.energy for r in reps)
-        out.append(replace(c, edp=edp))
-    return pareto(out)

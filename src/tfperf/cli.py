@@ -20,9 +20,8 @@ import numpy as np
 from . import mapspace
 from .archsearch import CostCache, DEFAULT_SPACE, evolve, space_from_json
 from .fusion import PAIR_NAMES, fusion_sweep
-from .hwmodel import (InfeasibleConfigError, _left_sum, accel_from_json, accel_preset,
-                      costs_intensity, memory_split_sweep, model_costs,
-                      report_intensity)
+from .hwmodel import (_left_sum, accel_from_json, accel_preset, costs_intensity,
+                      memory_split_sweep, model_costs, report_intensity)
 from .workload import (ConfigError, Mode, category_of, flops, intensity,
                        model_from_json, model_ops, model_preset, mops)
 
@@ -353,7 +352,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         table, extra = args.func(args)
-    except (ConfigError, InfeasibleConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

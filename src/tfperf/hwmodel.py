@@ -34,13 +34,11 @@ from .workload import (
     Elementwise,
     Matmul,
     MatvecSeries,
-    Mode,
     ModelConfig,
     OperatorClass,
     OperatorSpec,
     _a2a_static,
     _in_bytes,
-    category_of,
     check_keys,
     flops,
     json_int,
@@ -65,6 +63,8 @@ class EnergyTable:
             raise InfeasibleConfigError("energy table entries must be finite")
         if not (self.dram_access > self.scratchpad_access > 0):
             raise InfeasibleConfigError("energy table must satisfy dram > scratchpad > 0")
+        if min(self.mac_energy, self.accumulator_access) < 0:
+            raise InfeasibleConfigError("mac and accumulator energies must be >= 0")
         return self
 
     def total(self, macs, spad, acc, dram):
@@ -90,6 +90,8 @@ class AcceleratorConfig:
             raise InfeasibleConfigError("capacities and dram_bw must be positive")
         if not (math.isfinite(self.dram_bw) and math.isfinite(self.sfu_vector_latency)):
             raise InfeasibleConfigError("dram_bw and sfu_vector_latency must be finite")
+        if self.sfu_vector_latency < 0:
+            raise InfeasibleConfigError("sfu_vector_latency must be >= 0")
         self.energy.check()
         return self
 
@@ -447,19 +449,6 @@ def model_costs(cfg: ModelConfig, accel: AcceleratorConfig):
     return [(op, table.cost(op)) for op in model_ops(cfg)]
 
 
-def latency_breakdown(cfg: ModelConfig, accel: AcceleratorConfig) -> dict:
-    """Cycles per workload category plus 'total'."""
-    by_cat: dict[str, float] = {}
-    total = 0.0
-    cnn = cfg.mode is Mode.Cnn
-    for op, rep in model_costs(cfg, accel):
-        cat = category_of(op, cnn=cnn)
-        by_cat[cat] = by_cat.get(cat, 0.0) + rep.latency
-        total += rep.latency
-    by_cat["total"] = total
-    return by_cat
-
-
 def _left_sum(values) -> float:
     """The float total of `values`, added left to right as `x += v` in a
     loop. The built-in `sum` compensates float additions from Python 3.12
@@ -477,15 +466,6 @@ def costs_intensity(costs: Sequence[tuple[OperatorSpec, CostReport]]) -> float:
 def model_nonideal_intensity(cfg: ModelConfig, accel: AcceleratorConfig) -> float:
     """Whole-model FLOPs over whole-model DRAM traffic."""
     return costs_intensity(model_costs(cfg, accel))
-
-
-def nonlinear_latency_share(cfg: ModelConfig, accel: AcceleratorConfig) -> float:
-    """Fraction of total cycles spent in nonlinear/pooling vector work."""
-    costs = model_costs(cfg, accel)
-    total = _left_sum(rep.latency for _, rep in costs)
-    nl = _left_sum(rep.latency for op, rep in costs
-                   if op.op_class in (OperatorClass.Nonlinear, OperatorClass.Pooling))
-    return nl / total
 
 
 def matmul_latency(cfg: ModelConfig, accel: AcceleratorConfig) -> float:

@@ -489,11 +489,6 @@ def sample_stats(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int) ->
     return stats_from_costs(*sample_costs(nest, accel, n, seed))
 
 
-def mapspace_size(nest: LoopNest, accel: AcceleratorConfig) -> int:
-    """Number of (spatial, tiling, DRAM-perm) combinations, before validity."""
-    return _tile_vectors(nest, accel.pe_width) * math.factorial(len(nest.names))
-
-
 _EXHAUSTIVE_GUARD = 10 ** 7  # rows: tile vectors x loop-order classes
 
 
@@ -533,18 +528,3 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig):
     lat, en, dram, compute = (col[i[best]] for col in rows)
     return (space.mapping(t[i[best]], perm[best]),
             _report(lat, en, {"dram": float(dram)}, compute, accel))
-
-
-def matched_mac_dims(conv: OperatorSpec, l: int) -> tuple[int, int]:
-    """Transformer dims whose projection matmuls match a conv's MAC count.
-
-    d: query projection d*d*l has the conv's MACs; d_ffn_hidden: an FFN pair
-    with hidden size 4*d' (so 4*d'^2*l MACs) matches it.
-    """
-    k = conv.kind
-    if not isinstance(k, Conv):
-        raise TypeError("matched_mac_dims needs a Conv operator")
-    macs = k.kernel * k.kernel * k.in_ch * k.out_ch * k.out_h * k.out_w * k.repetitions
-    d = round(math.sqrt(macs / l))
-    d_ffn = round(math.sqrt(macs / (l * 4.0)))
-    return d, d_ffn

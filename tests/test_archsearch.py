@@ -25,7 +25,6 @@ from tfperf.archsearch import (
     mutate,
     pareto,
     quality_proxy,
-    rescore,
     sample_candidate,
     space_from_json,
 )
@@ -494,15 +493,3 @@ def test_evolve_matches_goldens(golden, accel):
                    seed=golden["seed"], accel=accel)
     want = {k: golden[k] for k in ("points", "trace", "discarded")}
     assert _front_doc(front) == want
-    if "rescore" in golden:
-        assert _front_doc(rescore(front, accel)) == golden["rescore"]
-
-
-def test_rescore_front(accel):
-    front = evolve(pop=16, rounds=8, seed=4, accel=accel)
-    rs = rescore(front, accel)
-    rs.check()
-    assert len(rs.points) <= len(front.points)
-    assert all(p.evaluated for p in rs.points)
-    # greedy max tiles never move less data: EDP stays positive and finite
-    assert all(math.isfinite(p.edp) and p.edp > 0 for p in rs.points)

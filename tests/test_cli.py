@@ -297,7 +297,8 @@ def test_malformed_space_exits_2(tmp_path, capsys, doc):
 @pytest.mark.parametrize("doc", ['{"energy": 5}', '{"dram_bytes_per_cycle": "nan"}',
                                  '{"scratchpad_kb": 1e400}', '{"energy": {"mac": "inf"}}',
                                  '{"pe_width": true}', '{"pe_width": 16.7}',
-                                 '{"pe_widht": 8}', '{"energy": {"dram_pj": 100}}'])
+                                 '{"pe_widht": 8}', '{"energy": {"dram_pj": 100}}',
+                                 '{"energy": {"mac": -50, "acc": -50}}'])
 def test_malformed_accel_exits_2(tmp_path, capsys, doc):
     accel = tmp_path / "accel.json"
     accel.write_text(doc)

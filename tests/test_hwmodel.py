@@ -33,14 +33,12 @@ from tfperf.hwmodel import (
     accel_from_json,
     accel_preset,
     greedy_tiles,
-    latency_breakdown,
     matmul_dims,
     matmul_latency,
     memory_split_sweep,
     model_costs,
     model_nonideal_intensity,
     nonideal_intensity,
-    nonlinear_latency_share,
     op_latency,
     square_tiles,
 )
@@ -518,16 +516,6 @@ def test_memory_split_sweep_costs_each_walk_once(monkeypatch, accel, model):
     assert len(set(matvecs)) == len(matvecs)
 
 
-def test_latency_breakdown_categories_follow_mode(accel):
-    cnn = latency_breakdown(model_preset("resnet50", 512), accel)
-    assert list(cnn) == ["Convolution", "BatchNorm", "ReLU", "Other", "total"]
-    named = model_from_json({"name": "resnet50", "layers": 1, "d": 64, "heads": 2,
-                             "d_ffn": 128, "seq_len": 64})
-    enc = latency_breakdown(named, accel)
-    assert "Convolution" not in enc and "MHA (projections)" in enc
-    assert enc["total"] == pytest.approx(sum(v for k, v in enc.items() if k != "total"))
-
-
 def test_whole_model_totals_add_left_to_right(accel, bert512):
     # from Python 3.12 the built-in sum compensates float additions, which
     # would give 1.0 and 357308416.0 here
@@ -537,7 +525,10 @@ def test_whole_model_totals_add_left_to_right(accel, bert512):
 
 def test_nonlinear_latency_share_resnet(accel):
     res = model_preset("resnet50", 512)
-    share = nonlinear_latency_share(res, accel)
+    costs = model_costs(res, accel)
+    vector = (OperatorClass.Nonlinear, OperatorClass.Pooling)
+    share = (hwmodel._left_sum(rep.latency for op, rep in costs if op.op_class in vector)
+             / hwmodel._left_sum(rep.latency for _, rep in costs))
     assert share == pytest.approx(0.35169199434912174, rel=1e-9)
     assert 0.244 <= share <= 0.404
 
@@ -581,6 +572,9 @@ def test_accel_from_json():
     b = accel_from_json({"energy": {"dram": 100, "spad": 2}})
     assert (b.energy.dram_access, b.energy.scratchpad_access) == (100.0, 2.0)
     assert accel_from_json('{"scratchpad_kb": "32"}').scratchpad_bytes == 32 * 1024
+    # free MACs, accumulator accesses and SFU passes are allowed; negative ones are not
+    c = accel_from_json({"energy": {"mac": 0, "acc": 0}, "sfu_cycles_per_vector": 0})
+    assert (c.energy.mac_energy, c.energy.accumulator_access, c.sfu_vector_latency) == (0, 0, 0)
 
 
 def test_accel_check_errors():
@@ -602,6 +596,7 @@ def test_accel_check_errors():
     {"pe_width": True}, {"pe_width": False}, {"pe_width": 16.7}, {"pe_width": "16.5"},
     {"pe_width": 1e400}, {"pe_width": None}, {"pe_widht": 16}, {"name": "gemmini"},
     {"scratchpad_kb": 64, "accumulator": 64}, {"energy": {"dram_pj": 100.0}},
+    {"energy": {"mac": -50}}, {"energy": {"acc": -50}}, {"sfu_cycles_per_vector": -1},
 ])
 def test_accel_from_json_rejects_malformed(doc):
     with pytest.raises(InfeasibleConfigError):

@@ -23,6 +23,7 @@ from tfperf.mapspace import (
     _order_classes,
     _perm_table,
     _tile_choices,
+    _tile_vectors,
     _valid_mask,
     NAMED_NESTS,
     LoopNest,
@@ -31,8 +32,6 @@ from tfperf.mapspace import (
     conv_nest,
     evaluate,
     exhaustive_best,
-    mapspace_size,
-    matched_mac_dims,
     matmul_nest,
     nest_of,
     random_mapping,
@@ -337,7 +336,7 @@ def test_sample_batch_matches_unique_mask_reference(nest, pe_width, n, seed):
     accel = AcceleratorConfig(pe_width=pe_width)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     space = _Space(nest, pe_width)
-    assert space.size * math.factorial(len(nest.names)) == mapspace_size(nest, accel)
+    assert space.size == _tile_vectors(nest, pe_width)
     batch = space.batch(*space.draw(n, rng))
     spatial, tiles, perm_idx = _sample_batch_reference(nest, accel, n, ref_rng)
     assert np.array_equal(batch.spatial, spatial)
@@ -509,13 +508,15 @@ def test_perm_table_is_shared_and_read_only():
 
 def test_mapspace_size_small(accel):
     # 3 spatial divisor choices^2 dims x tile divisor combos x 3! orders
-    assert mapspace_size(SMALL, accel) == 2904
+    assert _tile_vectors(SMALL, accel.pe_width) * math.factorial(3) == 2904
 
 
 def test_mapspace_size_named(accel):
-    assert mapspace_size(NAMED_NESTS["bert.mha"], accel) == 302400
-    assert mapspace_size(NAMED_NESTS["bert.qk"], accel) == 67200
-    assert mapspace_size(NAMED_NESTS["resnet.c3"], accel) == 18432000
+    # tile vectors x nd! DRAM orders, before validity
+    W = accel.pe_width
+    assert _tile_vectors(NAMED_NESTS["bert.mha"], W) * math.factorial(3) == 302400
+    assert _tile_vectors(NAMED_NESTS["bert.qk"], W) * math.factorial(3) == 67200
+    assert _tile_vectors(NAMED_NESTS["resnet.c3"], W) * math.factorial(6) == 18432000
 
 
 def test_exhaustive_best_frozen(accel):
@@ -635,22 +636,6 @@ def test_exhaustive_and_evaluate_match_goldens(case):
     for want in case["random"]:
         m = random_mapping(nest, accel, want["seed"])
         _assert_matches_golden(m, evaluate(m, accel), want)
-
-
-# ---------------------------------------------------------------------------
-# MAC matching
-# ---------------------------------------------------------------------------
-
-def test_matched_mac_dims():
-    # 7x7 stem conv at its 56x56 post-pool output: 29.5M MACs
-    stem = OperatorSpec("t", OperatorClass.Convolution, Conv(7, 3, 64, 56, 56))
-    assert matched_mac_dims(stem, 512) == (240, 120)
-    d, dff = matched_mac_dims(stem, 512)
-    assert abs(d * d * 512 - 29503488) / 29503488 < 0.01
-    assert abs(4 * dff * dff * 512 - 29503488) / 29503488 < 0.01
-    with pytest.raises(TypeError):
-        matched_mac_dims(
-            OperatorSpec("t", OperatorClass.FfnProjection, Matmul(8, 8, 8)), 512)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""The parameters of the library's cost and search entry points, pinned.
+"""The library's public functions and the parameters of its cost and search
+entry points, pinned.
 
 Each of these takes only what some `tfperf` command or a cost rule needs: a
 cost table serves the one accelerator it was built for, the search runs at
 one sequence length with one quality proxy, and operand widths come from the
-operator or the loop nest. A knob that comes back shows up here as a failing
-row.
+operator or the loop nest. A knob or a public function that comes back shows
+up here as a failing row.
 """
 import dataclasses
 import importlib
@@ -29,10 +30,10 @@ SIGNATURES = [
     (archsearch.candidate_edp, ("c", "cache")),
     (archsearch.evaluate, ("c", "cache")),
     (archsearch.evolve, ("space", "accel", "pop", "rounds", "p", "seed", "cache")),
-    (archsearch.rescore, ("front", "accel")),
+    (archsearch.pareto, ("points",)),
     (fusion.bert_pair, ("name", "seq_len")),
     (fusion.eval_pair, ("pair", "accel")),
-    (mapspace.matched_mac_dims, ("conv", "l")),
+    (fusion.fusion_sweep, ("pair_name", "accel", "accum_kbs", "seq_lens")),
     (_kernels.matmul_eval, ("Pm", "Pk", "Pn", "sm", "sn", "tm", "tk", "tn",
                             "pos_m", "pos_k", "pos_n", "in1_b", "in2_b", "out_b",
                             "W", "bw", "energy")),
@@ -55,6 +56,27 @@ SIGNATURES = [
 ]
 
 
+# every public function each module defines; one with no command, cost rule,
+# benchmark patch or acceptance criterion behind it is deleted, not added here
+PUBLIC_FUNCTIONS = {
+    workload: ("category_of", "check_keys", "decoder_ops", "encoder_ops", "flops",
+               "fold_cnn_fusion", "intensity", "json_int", "layer_ops_encoder",
+               "model_from_json", "model_ops", "model_preset", "mops", "profile",
+               "resnet50_ops"),
+    hwmodel: ("accel_from_json", "accel_preset", "costs_intensity", "greedy_tiles",
+              "matmul_dims", "matmul_latency", "memory_split_sweep", "model_costs",
+              "model_nonideal_intensity", "nonideal_intensity", "op_latency",
+              "report_intensity", "square_tiles"),
+    mapspace: ("conv_nest", "evaluate", "exhaustive_best", "matmul_nest", "nest_of",
+               "random_mapping", "sample_costs", "sample_stats", "stats_from_costs",
+               "validate"),
+    fusion: ("bert_pair", "eval_pair", "fused_constraints", "fusion_sweep"),
+    archsearch: ("baseline", "candidate_edp", "candidate_ops", "evaluate", "evolve",
+                 "mutate", "pareto", "quality_proxy", "sample_candidate",
+                 "space_from_json"),
+}
+
+
 def _id(value):
     return value.__qualname__ if callable(value) else None
 
@@ -62,6 +84,14 @@ def _id(value):
 @pytest.mark.parametrize("fn, params", SIGNATURES, ids=_id)
 def test_parameters_are_pinned(fn, params):
     assert tuple(inspect.signature(fn).parameters) == params
+
+
+@pytest.mark.parametrize("module", PUBLIC_FUNCTIONS, ids=lambda m: m.__name__)
+def test_public_functions_are_pinned(module):
+    defined = sorted(name for name, value in vars(module).items()
+                     if inspect.isfunction(value) and value.__module__ == module.__name__
+                     and not name.startswith("_"))
+    assert tuple(defined) == PUBLIC_FUNCTIONS[module]
 
 
 def test_accelerator_fields_are_pinned():
