@@ -242,19 +242,8 @@ def _valid_mask(batch, accel: AcceleratorConfig) -> np.ndarray:
 
 def _eval_batch(batch: _Batch, accel: AcceleratorConfig):
     """Kernel arrays (lat, en, dram, compute) over every mapping of the batch."""
-    act_b, w_b, out_b = batch.nest.precisions
-    P = batch.padded()
-    pos = batch.positions()
-    if batch.nest.is_conv:
-        return _kernels.conv_eval(
-            P, batch.spatial[0], batch.spatial[1], batch.tiles, pos,
-            batch.nest.stride, act_b, w_b, out_b, accel.pe_width, accel.dram_bw,
-            accel.energy)
-    return _kernels.matmul_eval(
-        P[0], P[1], P[2], batch.spatial[0], batch.spatial[2],
-        batch.tiles[0], batch.tiles[1], batch.tiles[2],
-        pos[0], pos[1], pos[2],
-        act_b, w_b, out_b, accel.pe_width, accel.dram_bw, accel.energy)
+    kernel = _kernels.conv_eval if batch.nest.is_conv else _kernels.matmul_eval
+    return kernel(batch.padded(), batch.spatial, batch.tiles, batch.positions(), batch.nest, accel)
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +270,7 @@ def _order_classes(ndims: int) -> tuple[np.ndarray, np.ndarray]:
     masks = np.arange(1 << ndims)
     it = [(masks[:, None] >> d & 1).astype(bool) for d in range(ndims)]
     at = [pos[None, :, d] for d in range(ndims)]
-    bits = (_kernels.conv_order(it, at) if ndims == len(CONV_DIMS)
-            else _kernels.matmul_order(*it, *at))
+    bits = (_kernels.conv_order if ndims == len(CONV_DIMS) else _kernels.matmul_order)(it, at)
     code = sum(b.astype(np.int64) << i for i, b in enumerate(bits))
     nclass = 1 << len(bits)
     first_keys, first = np.unique(masks[:, None] * nclass + code, return_index=True)

@@ -34,11 +34,10 @@ SIGNATURES = [
     (fusion.bert_pair, ("name", "seq_len")),
     (fusion.eval_pair, ("pair", "accel")),
     (fusion.fusion_sweep, ("pair_name", "accel", "accum_kbs", "seq_lens")),
-    (_kernels.matmul_eval, ("Pm", "Pk", "Pn", "sm", "sn", "tm", "tk", "tn",
-                            "pos_m", "pos_k", "pos_n", "in1_b", "in2_b", "out_b",
-                            "W", "bw", "energy")),
-    (_kernels.conv_eval, ("P", "s_oc", "s_ic", "T", "pos", "stride",
-                          "act_b", "w_b", "out_b", "W", "bw", "energy")),
+    # both kernels take the batch's (ndims, n) column arrays; the nest gives
+    # the widths and stride, the accelerator the hardware parameters
+    (_kernels.matmul_eval, ("P", "S", "T", "pos", "nest", "accel")),
+    (_kernels.conv_eval, ("P", "S", "T", "pos", "nest", "accel")),
     # widths come from the operator (hwmodel) or the loop nest (mapspace)
     (hwmodel.square_tiles, ("op", "accel")),
     (hwmodel.greedy_tiles, ("op", "accel")),
@@ -53,6 +52,9 @@ SIGNATURES = [
     (hwmodel._tile_grid, ("op", "plan", "accel")),
     # the builders set each operator's widths; no caller overrides them
     (workload.layer_ops_encoder, ("cfg", "layer", "heads")),
+    # both order rules take the iterating flags and DRAM positions as rows
+    (_kernels.matmul_order, ("it", "pos")),
+    (_kernels.conv_order, ("it", "pos")),
 ]
 
 
