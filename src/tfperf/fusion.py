@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .hwmodel import (_ACCUM_BYTES, _STANDALONE_PASSES, AcceleratorConfig, TilingPlan,
-                      _overlap, _tile_grid, greedy_tiles, op_latency)
+                      _overlap, _tile_cells, greedy_tiles, op_latency)
 from .mapspace import _divisors
 from .workload import (Elementwise, Matmul, OperatorSpec, _in_bytes, layer_ops_encoder,
                        model_preset)
@@ -152,12 +152,15 @@ def eval_pair(pair: FusionPair, accel: AcceleratorConfig) -> FusionReport:
     # one tile spans the full axis, so the walk is one row of k tiles per
     # block; only the first block loads the shared operand if it is resident.
     # The consumer reads the outputs from the accumulator, so a tile overlaps
-    # only its loaded bytes. fsum rounds each row's sum once, as f_k * tile would.
-    compute, loaded, _ = _tile_grid(pair.producer, plan, accel)
-    lat = _overlap(compute, loaded, accel.dram_bw)
-    blocks = lat.reshape(-1, lat.shape[2])
-    n_blocks = len(blocks)
-    b_first, b_rest = math.fsum(blocks[0]), math.fsum(blocks[-1])
+    # only its loaded bytes. fsum rounds each row's sum once, as f_k * tile
+    # would: over the first block's k cells and the last block's, each
+    # repeated by its run count.
+    (m_runs, n_runs, k_runs), compute, loaded, _ = _tile_cells(pair.producer, plan, accel)
+    lat = [float(_overlap(c, b, accel.dram_bw)) for c, b in zip(compute, loaded)]
+    rows = [lat[i:i + len(k_runs)] for i in (0, len(lat) - len(k_runs))]
+    b_first, b_rest = (math.fsum(v for v, count in zip(row, k_runs) for _ in range(count))
+                       for row in rows)
+    n_blocks = sum(m_runs) * sum(n_runs)
     cons = _consumer_block_cycles(pair.consumer, plan.tile_m * plan.tile_n, accel)
 
     rep = pair.producer.repeat

@@ -3,6 +3,7 @@
 Execution model:
 - matmuls/convs run as square tiles (largest multiple of W fitting the
   double-buffered capacity halves), walked m-outer / n-middle / k-inner;
+  each capacity rule is solved for that multiple in closed form;
 - each tile costs max(compute, memory) cycles: compute is
   t_k * ceil(t_m/W) * ceil(t_n/W) plus a W-cycle pipeline fill, memory is the
   tile's DRAM bytes over the DRAM bandwidth (double buffering overlaps them);
@@ -16,6 +17,14 @@ Execution model:
   3 passes for standalone Softmax/LayerNorm;
 - the L2 is unbounded staging: it adds no latency term, and the DRAM figure
   is the DRAM-to-L2 traffic.
+
+The walk is costed by runs of equal tiles: each axis has at most three
+(first block, full blocks between, last block), and one tile per (m, n, k)
+run cell, at most 27, stands for every tile of its cell. Compute, DRAM and
+drained totals are exact integer sums over the cells weighted by their tile
+counts. Only the latency total is summed over the full (m, n, k) grid,
+expanded from the cells, because the outputs pin numpy's pairwise order of
+that sum.
 """
 from __future__ import annotations
 
@@ -193,55 +202,68 @@ def _out_bytes(op: OperatorSpec) -> int:
     return _ACCUM_BYTES if op.pre_nonlinear else op.out_precision
 
 
-def _grow_tiles(op: OperatorSpec, accel: AcceleratorConfig,
-                groups: tuple[tuple[int, ...], ...]) -> TilingPlan:
-    """Start from a WxWxW tile and, for each group of axes (0 m, 1 k, 2 n) in
-    turn, grow every axis of the group by W, each capped at its extent padded
-    to W, while the tile still grows and still fits."""
+def _square_steps(cx: int, cy: int, nbytes: int, limit: int, W: int) -> int | float:
+    """The largest a with min(a*W, cx) * min(a*W, cy) * nbytes <= limit, for
+    caps cx, cy that are multiples of W (inf if every a fits)."""
+    lo, hi = sorted((cx, cy))
+    if lo * hi * nbytes <= limit:  # both caps fit
+        return math.inf
+    if lo * lo * nbytes <= limit:  # a*W lies between the caps
+        return limit // (lo * nbytes) // W
+    return math.isqrt(limit // nbytes) // W  # a*W lies below both caps
+
+
+def _grow_tiles(op: OperatorSpec, accel: AcceleratorConfig, axes: tuple[int, ...]) -> TilingPlan:
+    """The largest square tile: a*W on every axis (0 m, 1 k, 2 n), each capped
+    at its extent padded to W, for the largest a that fits. Then each of
+    `axes` in turn grows by multiples of W, to its cap or the most that fits.
+
+    The fit rules are the three operand blocks (axis pair, bytes per
+    element, capacity): in1 on (m, k) and in2 on (k, n) in a scratchpad half,
+    the output on (m, n) in an accumulator half.
+    """
     W = accel.pe_width
     in1_b, in2_b = _in_bytes(op)
-    out_b = _out_bytes(op)
     half, acc_half = accel.scratchpad_bytes // 2, accel.accumulator_bytes // 2
-    caps = tuple(_pad(x, W) for x in matmul_dims(op))
-
-    def fits(tile: tuple[int, int, int]) -> bool:
-        tm, tk, tn = tile
-        return tm * tk * in1_b <= half and tk * tn * in2_b <= half and tm * tn * out_b <= acc_half
-
-    tile = tuple(min(W, cap) for cap in caps)
-    if not fits(tile):
+    rules = (((0, 1), in1_b, half), ((1, 2), in2_b, half), ((0, 2), _out_bytes(op), acc_half))
+    caps = [_pad(x, W) for x in matmul_dims(op)]
+    a = min(max(caps) // W,
+            *(_square_steps(caps[x], caps[y], nbytes, limit, W)
+              for (x, y), nbytes, limit in rules))
+    if a < 1:
         raise InfeasibleConfigError(
             f"no {W}x{W} tile fits scratchpad/accumulator for {op.name}")
-    for axes in groups:
-        while True:
-            nxt = tuple(min(t + W, cap) if i in axes else t
-                        for i, (t, cap) in enumerate(zip(tile, caps)))
-            if nxt == tile or not fits(nxt):
-                break
-            tile = nxt
+    tile = [min(a * W, cap) for cap in caps]
+    for axis in axes:  # the most W-multiples each rule on the axis leaves room for
+        tile[axis] = min(caps[axis], *(limit // (tile[sum(pair) - axis] * nbytes) // W * W
+                                       for pair, nbytes, limit in rules if axis in pair))
     return TilingPlan(*tile)
 
 
 def square_tiles(op: OperatorSpec, accel: AcceleratorConfig) -> TilingPlan:
     """The largest square tile, grown on all three axes together."""
-    return _grow_tiles(op, accel, ((0, 1, 2),))
+    return _grow_tiles(op, accel, ())
 
 
 def greedy_tiles(op: OperatorSpec, accel: AcceleratorConfig) -> TilingPlan:
     """Gemmini-style heuristic: square tiles, then greedily extend K, M, N."""
-    return _grow_tiles(op, accel, ((0, 1, 2), (1,), (0,), (2,)))
+    return _grow_tiles(op, accel, (1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
 # Matmul / conv tile walk
 # ---------------------------------------------------------------------------
 
-def _sizes(total: int, tile: int) -> np.ndarray:
-    n = math.ceil(total / tile)
-    out = np.full(n, tile, dtype=np.int64)
-    if total % tile:
-        out[-1] = total % tile
-    return out
+def _runs(total: int, tile: int) -> tuple[tuple[int, int], ...]:
+    """(block size, block count) of each run of equal blocks along one axis:
+    the first block, the full blocks between, and the last (ragged) block."""
+    n = -(-total // tile)
+    last = total - (n - 1) * tile
+    if n == 1:
+        return ((total, 1),)
+    if n == 2:
+        return ((tile, 1), (last, 1))
+    return ((tile, 1), (tile, n - 2), (last, 1))
 
 
 def _resident(op: OperatorSpec, accel: AcceleratorConfig) -> tuple[bool, bool]:
@@ -258,46 +280,73 @@ def _overlap(compute, dram_bytes, dram_bw):
     return np.maximum(compute, dram_bytes / dram_bw)
 
 
-def _tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
-    """Per-tile grids of the m-outer/n-middle/k-inner walk, on axes (m, n, k).
+def _tile_cells(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
+    """The m-outer/n-middle/k-inner walk, one tile per run cell.
 
-    Returns (compute cycles, loaded input bytes, drained output bytes) for
-    one repeat; an output block drains after its last k tile, so the drains
-    are a grid on (m, n) only, of the last k slice.
+    Each axis splits into runs of equal blocks (`_runs`). A tile's cost reads
+    only its block sizes, whether its m or n block is the first (residency)
+    and whether its k block is the last (the drain), so one tile per
+    (m, n, k) run cell, at most 27, stands for every tile of the cell.
+
+    Returns the run counts of m, n and k, and the cells' compute cycles,
+    loaded input bytes and drained output bytes for one repeat, as flat
+    C-ordered lists over (m run, n run, k run) of Python ints. An output
+    block drains once, after its last k tile, so only the last k run drains.
     """
     M, K, N = matmul_dims(op)
     W = accel.pe_width
     in1_b, in2_b = _in_bytes(op)
     in1_resident, in2_resident = _resident(op, accel)
+    out_b = _out_bytes(op)
+    ms, ns, ks = _runs(M, plan.tile_m), _runs(N, plan.tile_n), _runs(K, plan.tile_k)
+    no_drain = [0] * (len(ks) - 1)
+    compute, loaded, drained = [], [], []
+    for i, (tm, _) in enumerate(ms):
+        for j, (tn, _) in enumerate(ns):
+            passes = -(-tm // W) * -(-tn // W)
+            # per k element; a resident input loads only while the first
+            # block of the other output axis is computed
+            per_k = ((0 if in1_resident and j else tm * in1_b)
+                     + (0 if in2_resident and i else tn * in2_b))
+            for tk, _ in ks:
+                compute.append(tk * passes + W)
+                loaded.append(tk * per_k)
+            drained += no_drain
+            drained.append(tm * tn * out_b)
+    counts = tuple(tuple(c for _, c in runs) for runs in (ms, ns, ks))
+    return counts, compute, loaded, drained
 
-    ms = _sizes(M, plan.tile_m)
-    ks = _sizes(K, plan.tile_k)
-    ns = _sizes(N, plan.tile_n)
-    tm = ms[:, None, None]
-    tn = ns[None, :, None]
-    tk = ks[None, None, :]
 
-    in1_bytes = (tm * tk * in1_b).astype(np.float64)
-    if in1_resident:  # loaded only while the first n block is computed
-        in1_bytes = in1_bytes * (np.arange(len(ns))[None, :, None] == 0)
-    in2_bytes = (tk * tn * in2_b).astype(np.float64)
-    if in2_resident:  # loaded only while the first m block is computed
-        in2_bytes = in2_bytes * (np.arange(len(ms))[:, None, None] == 0)
-    drained = (ms[:, None] * ns[None, :] * _out_bytes(op)).astype(np.float64)
-
-    compute = tk * np.ceil(tm / W) * np.ceil(tn / W) + W
-    return compute, in1_bytes + in2_bytes, drained
+def _expand(cells, counts) -> np.ndarray:
+    """The full C-ordered (m, n, k) grid of per-cell values, each repeated
+    by its run counts. The axis with the most blocks expands last, so the
+    grid before it is at most a quarter of the full one once that axis has
+    12 blocks or more."""
+    grid = np.asarray(cells).reshape(tuple(map(len, counts)))
+    for axis in sorted(range(3), key=lambda a: sum(counts[a])):
+        if max(counts[axis]) > 1:
+            grid = np.repeat(grid, counts[axis], axis=axis)
+    return grid
 
 
 def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
-    """The tile walk summed: one repeat's (latency, compute, dram, drained, macs)."""
-    compute, dram, drained = _tile_grid(op, plan, accel)
-    dram[:, :, -1] += drained  # in place on the loaded grid's last k slice
+    """The tile walk summed: one repeat's (latency, compute, dram, drained, macs).
+
+    The compute, DRAM and drained totals are exact integer sums over the run
+    cells, weighted by each cell's tile count. The latency is summed over
+    the full grid with numpy's `.sum()`, whose pairwise order the outputs pin.
+    """
+    counts, compute, loaded, drained = _tile_cells(op, plan, accel)
+    dram = list(map(operator.add, loaded, drained))
+    weights = [cm * cn * ck for cm in counts[0] for cn in counts[1] for ck in counts[2]]
+    latency = _expand(_overlap(np.array(compute, dtype=np.float64),
+                               np.array(dram, dtype=np.float64), accel.dram_bw), counts)
     M, K, N = matmul_dims(op)
     reps = op.kind.repetitions if isinstance(op.kind, Conv) else 1
-    latency = _overlap(compute, dram, accel.dram_bw)
-    return (float(latency.sum()) * reps, float(compute.sum()) * reps,
-            float(dram.sum()) * reps, float(drained.sum()) * reps, float(M) * K * N * reps)
+    return (float(latency.sum()) * reps,
+            *(float(sum(map(operator.mul, weights, cells))) * reps
+              for cells in (compute, dram, drained)),
+            float(M) * K * N * reps)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +403,14 @@ def _elementwise_cost(op: OperatorSpec, accel: AcceleratorConfig):
 
 def _report(latency, energy, traffic: dict, compute, accel: AcceleratorConfig) -> CostReport:
     """The one report constructor (`op_latency`, mapping rows): compute-bound
-    when the compute cycles reach the DRAM bytes over the DRAM bandwidth."""
-    return CostReport(latency=float(latency), energy=float(energy),
+    when the compute cycles reach the DRAM bytes over the DRAM bandwidth.
+    A latency or energy that is not finite is refused, not reported."""
+    latency, energy = float(latency), float(energy)
+    if not (math.isfinite(latency) and math.isfinite(energy)):
+        raise InfeasibleConfigError(
+            f"cost is not finite (latency {latency}, energy {energy}): check "
+            "dram_bytes_per_cycle and the energy table")
+    return CostReport(latency=latency, energy=energy,
                       traffic=MappingProxyType(traffic),
                       compute_bound=bool(compute >= traffic["dram"] / accel.dram_bw))
 
@@ -498,22 +553,20 @@ def memory_split_sweep(cfg: ModelConfig, accel: AcceleratorConfig, total_kb: int
         acc_kb = total_kb - spad_kb
         split = replace(accel, scratchpad_bytes=spad_kb * 1024,
                         accumulator_bytes=acc_kb * 1024).check()
-        latency = []
         try:
-            for i, op in enumerate(shapes):
-                plan = None
-                walk = i
-                if not isinstance(op.kind, MatvecSeries):
-                    plan = square_tiles(op, split)
-                    walk = (i, plan, *_resident(op, split))
-                lat = costed.get(walk)
-                if lat is None:
-                    lat = costed[walk] = op_latency(op, split, plan=plan).latency
-                latency.append(lat)
-        except InfeasibleConfigError:
+            plans = [None if isinstance(op.kind, MatvecSeries) else square_tiles(op, split)
+                     for op in shapes]
+        except InfeasibleConfigError:  # no tile fits the split
             rows.append((spad_kb, acc_kb, math.inf, False))
-        else:
-            rows.append((spad_kb, acc_kb, _left_sum(map(latency.__getitem__, slots)), True))
+            continue
+        latency = []
+        for i, (op, plan) in enumerate(zip(shapes, plans)):
+            walk = i if plan is None else (i, plan, *_resident(op, split))
+            lat = costed.get(walk)
+            if lat is None:
+                lat = costed[walk] = op_latency(op, split, plan=plan).latency
+            latency.append(lat)
+        rows.append((spad_kb, acc_kb, _left_sum(map(latency.__getitem__, slots)), True))
     feasible = [i for i, row in enumerate(rows) if row[3]]
     if not feasible:
         raise InfeasibleConfigError(f"no feasible split of {total_kb} kB")

@@ -734,6 +734,23 @@ def test_python_m_tfperf_matches_full_parser(capsys, monkeypatch, argv):
         full_parser_outcome(capsys, monkeypatch, argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("latency",), ("fusion",), ("search", "--pop", "4", "--rounds", "2"),
+    ("memsweep", "--total-kb", "320"),
+], ids=lambda a: a[0])
+def test_non_finite_costs_exit_2(tmp_path, argv):
+    """A subnormal bandwidth passes the config check, but the costs it gives
+    are not finite: the command prints no report and ends in one error line."""
+    accel = tmp_path / "accel.json"
+    accel.write_text(json.dumps({"dram_bytes_per_cycle": 1e-320}))
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "tfperf", *argv, "--accel", str(accel)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
 def test_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
     progs = []
     init = argparse.ArgumentParser.__init__

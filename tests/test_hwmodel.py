@@ -15,6 +15,7 @@ from tfperf.workload import (
     ModelConfig,
     OperatorClass,
     OperatorSpec,
+    _in_bytes,
     encoder_ops,
     flops,
     model_from_json,
@@ -27,8 +28,9 @@ from tfperf.hwmodel import (
     InfeasibleConfigError,
     OpCostTable,
     TilingPlan,
+    _out_bytes,
+    _resident,
     _shape_key,
-    _tile_grid,
     _tiled_cost,
     accel_from_json,
     accel_preset,
@@ -42,6 +44,8 @@ from tfperf.hwmodel import (
     op_latency,
     square_tiles,
 )
+from tfperf.fusion import (PAIR_NAMES, _consumer_block_cycles, bert_pair, eval_pair,
+                           fused_constraints)
 from tfperf.mapspace import Mapping, evaluate, nest_of
 
 from conftest import DECODER3
@@ -159,6 +163,20 @@ def _plan_or_error(tiles, *args):
        out_precision=st.sampled_from((1, 2, 4)),
        pre_nonlinear=st.booleans(),
        spad=st.integers(16, 1 << 20), acc=st.integers(16, 1 << 19))
+# each capacity rule of the square step in its three closed-form cases: both
+# caps fit; a*W between the caps (in1 and in2 bind on the 3000-wide k); a*W
+# below both caps
+@example(W=16, dims=(20, 30, 40), in_precisions=[1], out_precision=1, pre_nonlinear=False,
+         spad=1 << 20, acc=1 << 19)
+@example(W=16, dims=(16, 3000, 16), in_precisions=[1], out_precision=1, pre_nonlinear=False,
+         spad=40000, acc=1 << 19)
+@example(W=16, dims=(3000, 3000, 3000), in_precisions=[1], out_precision=1,
+         pre_nonlinear=False, spad=40000, acc=1 << 19)
+@example(W=1, dims=(7, 13, 5), in_precisions=[2, 1], out_precision=2, pre_nonlinear=True,
+         spad=100, acc=64)
+# in1 fills its scratchpad half exactly at both caps; in2 then lets n grow
+@example(W=16, dims=(16, 16, 100), in_precisions=[4, 1], out_precision=1, pre_nonlinear=False,
+         spad=2048, acc=1 << 19)
 def test_tile_walk_matches_reference_loops(W, dims, in_precisions, out_precision,
                                            pre_nonlinear, spad, acc):
     op = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(*dims),
@@ -289,11 +307,62 @@ def test_wide_output_drains_four_bytes(accel):
     assert wide.traffic["dram"] - narrow.traffic["dram"] == 64 * 64 * 3
 
 
+def _sizes(total: int, tile: int) -> np.ndarray:
+    n = math.ceil(total / tile)
+    out = np.full(n, tile, dtype=np.int64)
+    if total % tile:
+        out[-1] = total % tile
+    return out
+
+
+def _reference_tile_grid(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
+    """Per-tile grids of the m-outer/n-middle/k-inner walk, on axes (m, n, k).
+
+    Returns (compute cycles, loaded input bytes, drained output bytes) for
+    one repeat; an output block drains after its last k tile, so the drains
+    are a grid on (m, n) only, of the last k slice.
+    """
+    M, K, N = matmul_dims(op)
+    W = accel.pe_width
+    in1_b, in2_b = _in_bytes(op)
+    in1_resident, in2_resident = _resident(op, accel)
+
+    ms = _sizes(M, plan.tile_m)
+    ks = _sizes(K, plan.tile_k)
+    ns = _sizes(N, plan.tile_n)
+    tm = ms[:, None, None]
+    tn = ns[None, :, None]
+    tk = ks[None, None, :]
+
+    in1_bytes = (tm * tk * in1_b).astype(np.float64)
+    if in1_resident:  # loaded only while the first n block is computed
+        in1_bytes = in1_bytes * (np.arange(len(ns))[None, :, None] == 0)
+    in2_bytes = (tk * tn * in2_b).astype(np.float64)
+    if in2_resident:  # loaded only while the first m block is computed
+        in2_bytes = in2_bytes * (np.arange(len(ms))[:, None, None] == 0)
+    drained = (ms[:, None] * ns[None, :] * _out_bytes(op)).astype(np.float64)
+
+    compute = tk * np.ceil(tm / W) * np.ceil(tn / W) + W
+    return compute, in1_bytes + in2_bytes, drained
+
+
+def _reference_tiled_cost(op, plan, accel):
+    """One repeat's (latency, compute, dram, drained, macs) as float sums over
+    the full per-tile grids of `_reference_tile_grid`."""
+    compute, dram, drained = _reference_tile_grid(op, plan, accel)
+    dram[:, :, -1] += drained  # in place on the loaded grid's last k slice
+    M, K, N = matmul_dims(op)
+    reps = op.kind.repetitions if isinstance(op.kind, Conv) else 1
+    latency = np.maximum(compute, dram / accel.dram_bw)
+    return (float(latency.sum()) * reps, float(compute.sum()) * reps,
+            float(dram.sum()) * reps, float(drained.sum()) * reps, float(M) * K * N * reps)
+
+
 def _tiled_cost_with_3d_drains(op, plan, accel):
     """`_tiled_cost` summed over a full (m, n, k) drain grid that is nonzero
     only on the last k slice: the reference for adding the (m, n) drain grid
     into the last k slice alone."""
-    compute, loaded, _ = _tile_grid(op, plan, accel)
+    compute, loaded, _ = _reference_tile_grid(op, plan, accel)
     M, K, N = matmul_dims(op)
     ms = np.diff(np.r_[0:M:plan.tile_m, M])
     ns = np.diff(np.r_[0:N:plan.tile_n, N])
@@ -327,9 +396,103 @@ def test_tile_walk_drains_only_the_last_k_slice(M, K, N, conv, prec, wide, W, sp
         plan = TilingPlan(32, 48, 32)
     else:
         plan = TilingPlan(*(data.draw(st.integers(1, x)) for x in matmul_dims(op)))
-    compute, _, drained = _tile_grid(op, plan, accel)
+    compute, _, drained = _reference_tile_grid(op, plan, accel)
     assert drained.shape == compute.shape[:2]
     assert _tiled_cost(op, plan, accel) == _tiled_cost_with_3d_drains(op, plan, accel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=st.integers(1, 200), K=st.integers(1, 200), N=st.integers(1, 200),
+       conv=st.booleans(), prec=st.sampled_from(((1, 1), (2, 1), (1, 4))),
+       wide=st.booleans(), W=st.sampled_from((1, 3, 8, 16)),
+       spad_kb=st.sampled_from((1, 8, 256)), bw=st.sampled_from((0.37, 2.718, 5.5)),
+       data=st.data())
+@example(M=5, K=7, N=3, conv=False, prec=(1, 1), wide=False, W=1, spad_kb=256, bw=0.37,
+         data=None)  # W=1, one block on every axis, both inputs resident
+@example(M=200, K=150, N=130, conv=True, prec=(2, 1), wide=True, W=16, spad_kb=1, bw=2.718,
+         data=None)  # neither input resident, ragged edges, conv repetitions
+def test_tiled_cost_matches_the_full_grid_bitwise(M, K, N, conv, prec, wide, W, spad_kb, bw,
+                                                   data):
+    """The run-cell walk gives the full grid's sums bit for bit: one tile per
+    run cell, integer totals and the one expanded latency sum."""
+    kind = Conv(1, K, N, M, 1, repetitions=3) if conv else Matmul(M, K, N)
+    op = OperatorSpec("t", OperatorClass.FfnProjection, kind, in_precisions=prec,
+                      out_precision=prec[1], pre_nonlinear=wide)
+    accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=spad_kb * 1024,
+                              accumulator_bytes=64 * 1024, dram_bw=bw).check()
+    if data is None:
+        plan = TilingPlan(*(min(x, 48) for x in (M, K, N)))
+    else:  # at most 13 blocks per axis, ragged or not, single blocks included
+        plan = TilingPlan(*(data.draw(st.integers(max(1, x // 12), x + 4))
+                            for x in matmul_dims(op)))
+    got = _tiled_cost(op, plan, accel)
+    assert [v.hex() for v in got] == [v.hex() for v in _reference_tiled_cost(op, plan, accel)]
+
+
+def _peak_model_w2():
+    """The largest memsweep walk of the benchmark's peak model: the d=1024,
+    d_FFN=4096, l=4096 `w2` at the 16 kB scratchpad split of 320 kB on a
+    32-wide array."""
+    cfg = model_from_json({"name": "peak", "layers": 1, "d": 1024, "heads": 4,
+                           "d_ffn": 4096}, seq_len=4096)
+    op = _op("L0.w2", cfg)
+    accel = AcceleratorConfig(pe_width=32, scratchpad_bytes=16 * 1024,
+                              accumulator_bytes=304 * 1024).check()
+    return op, square_tiles(op, accel), accel
+
+
+def _four_k_blocks():
+    """A walk with many m and n blocks but only four k blocks."""
+    op = OperatorSpec("t", OperatorClass.ActToAct, Matmul(4096, 128, 4096))
+    return op, TilingPlan(32, 32, 32), AcceleratorConfig(pe_width=32).check()
+
+
+@pytest.mark.parametrize("walk, tiles", [(_peak_model_w2, 65536), (_four_k_blocks, 65536)],
+                         ids=["peak-model-w2", "four-k-blocks"])
+def test_tile_walk_peaks_at_one_grid(walk, tiles):
+    """One `_tiled_cost` holds at most one full float64 grid, and a quarter
+    of one more, at its peak."""
+    import tracemalloc
+    op, plan, accel = walk()
+    M, K, N = matmul_dims(op)
+    assert math.ceil(M / plan.tile_m) * math.ceil(K / plan.tile_k) * math.ceil(N / plan.tile_n) \
+        == tiles
+    tracemalloc.start()
+    try:
+        _tiled_cost(op, plan, accel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * tiles
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_eval_pair_sums_the_full_grid_exactly(name):
+    """`eval_pair`'s block sums equal an fsum over the rows of the full grid,
+    with either input resident or neither, one or many blocks on each axis,
+    and non-dyadic bandwidths."""
+    checked = 0
+    for seq_len in (128, 384, 2048):
+        pair = bert_pair(name, seq_len)
+        for W, spad_kb, acc_kb, bw in ((16, 256, 256, 3.0), (8, 32, 512, 0.37),
+                                       (16, 1024, 128, 2.718), (32, 64, 512, 5.5)):
+            accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=spad_kb * 1024,
+                                      accumulator_bytes=acc_kb * 1024, dram_bw=bw).check()
+            rep = eval_pair(pair, accel)
+            if not rep.feasible:
+                continue
+            plan = fused_constraints(pair, accel)
+            compute, loaded, _ = _reference_tile_grid(pair.producer, plan, accel)
+            blocks = np.maximum(compute, loaded / bw).reshape(-1, compute.shape[2])
+            b_first, b_rest = math.fsum(blocks[0]), math.fsum(blocks[-1])
+            cons = _consumer_block_cycles(pair.consumer, plan.tile_m * plan.tile_n, accel)
+            r, n = pair.producer.repeat, len(blocks)
+            assert rep.fused_latency == r * (b_first + (n - 1) * max(b_rest, cons) + cons)
+            assert rep.hidden_cycles == r * (n - 1) * min(b_rest, cons)
+            nonfused = op_latency(pair.producer, accel, plan=greedy_tiles(pair.producer, accel))
+            assert rep.producer_penalty == r * (b_first + (n - 1) * b_rest) / nonfused.latency
+            checked += 1
+    assert checked >= 6
 
 
 def test_matvec_series_memory_bound(accel):

@@ -1,0 +1,111 @@
+"""Laws every operator cost obeys, on drawn operators and accelerators.
+
+Roofline bounds (Williams, Waterman and Patterson, CACM 2009): an operator
+takes at least its DRAM bytes over the DRAM bandwidth, and a matmul or conv
+at least its MACs over the W x W array; a matmul or conv moves at least its
+compulsory bytes, each operand and output once. Metamorphic laws: latency
+does not rise with the bandwidth, `repeat` scales every total, and the
+energy is linear in the energy table.
+"""
+from dataclasses import replace
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from tfperf.hwmodel import (AcceleratorConfig, EnergyTable, InfeasibleConfigError,
+                            _out_bytes, matmul_dims, op_latency)
+from tfperf.workload import (Conv, Elementwise, Matmul, MatvecSeries, OperatorClass,
+                             OperatorSpec, _in_bytes)
+
+_dims = st.integers(1, 400)
+_widths = st.sampled_from((1, 2, 4))
+
+_kinds = st.one_of(
+    st.builds(Matmul, _dims, _dims, _dims),
+    st.builds(Conv, st.sampled_from((1, 3)), st.integers(1, 64), st.integers(1, 128),
+              st.integers(1, 20), st.integers(1, 20), repetitions=st.integers(1, 3)),
+    st.builds(MatvecSeries, st.integers(1, 256), st.integers(1, 256), st.integers(1, 64)),
+    st.builds(Elementwise, st.integers(1, 1 << 16), st.integers(1, 8), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _ops(draw):
+    kind = draw(_kinds)
+    if isinstance(kind, MatvecSeries):
+        cls = draw(st.sampled_from((OperatorClass.ActToAct, OperatorClass.MhaProjection)))
+        if cls is OperatorClass.ActToAct:  # a KV-cache series grows along one side
+            kind = replace(kind, **{draw(st.sampled_from(("rows", "cols"))): kind.iterations})
+    elif isinstance(kind, Elementwise):
+        cls = OperatorClass.Nonlinear
+    else:
+        cls = OperatorClass.FfnProjection
+    return OperatorSpec("t", cls, kind, repeat=draw(st.integers(1, 4)),
+                        in_precisions=tuple(draw(st.lists(_widths, min_size=1, max_size=2))),
+                        out_precision=draw(_widths), pre_nonlinear=draw(st.booleans()),
+                        wide_inputs=draw(st.booleans()))
+
+
+_bandwidths = st.floats(0.25, 64.0)
+_accels = st.builds(
+    AcceleratorConfig,
+    pe_width=st.sampled_from((1, 4, 8, 16, 32)),
+    scratchpad_bytes=st.integers(2, 1024).map(lambda kb: kb * 1024),
+    accumulator_bytes=st.integers(2, 512).map(lambda kb: kb * 1024),
+    dram_bw=_bandwidths,
+    sfu_vector_latency=st.sampled_from((0.0, 1.0, 2.5)),
+    energy=st.builds(EnergyTable, st.floats(0.0, 2.0), st.floats(1.0, 10.0),
+                     st.floats(0.0, 20.0), st.floats(11.0, 400.0)),
+)
+
+
+def _cost(op, accel):
+    try:
+        return op_latency(op, accel.check())
+    except InfeasibleConfigError:  # no minimal tile fits the drawn capacities
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=_ops(), accel=_accels)
+def test_roofline_bounds(op, accel):
+    rep = _cost(op, accel)
+    assert rep.latency >= rep.traffic["dram"] / accel.dram_bw * (1 - 1e-12)
+    if isinstance(op.kind, (Matmul, Conv)):
+        M, K, N = matmul_dims(op)
+        times = op.repeat * (op.kind.repetitions if isinstance(op.kind, Conv) else 1)
+        W = accel.pe_width
+        assert rep.latency >= M * K * N * times / (W * W)
+        in1_b, in2_b = _in_bytes(op)
+        compulsory = (M * K * in1_b + K * N * in2_b + M * N * _out_bytes(op)) * times
+        assert rep.traffic["dram"] >= compulsory
+
+
+@settings(max_examples=100, deadline=None)
+@given(op=_ops(), accel=_accels, faster=_bandwidths)
+def test_latency_does_not_rise_with_bandwidth(op, accel, faster):
+    slow, fast = sorted((accel.dram_bw, faster))
+    assert (_cost(op, replace(accel, dram_bw=fast)).latency
+            <= _cost(op, replace(accel, dram_bw=slow)).latency)
+
+
+@settings(max_examples=100, deadline=None)
+@given(op=_ops(), accel=_accels, times=st.integers(1, 64))
+def test_repeat_scales_every_total(op, accel, times):
+    one = _cost(replace(op, repeat=1), accel)
+    many = _cost(replace(op, repeat=times), accel)
+    assert many.latency == one.latency * times
+    assert dict(many.traffic) == {k: v * times for k, v in one.traffic.items()}
+    if times & (times - 1) == 0:  # a power of two scales every float exactly
+        assert many.energy == one.energy * times
+    else:
+        assert many.energy == pytest.approx(one.energy * times, rel=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(op=_ops(), accel=_accels)
+def test_energy_is_linear_in_the_table(op, accel):
+    e = accel.energy
+    doubled = EnergyTable(2 * e.mac_energy, 2 * e.scratchpad_access,
+                          2 * e.accumulator_access, 2 * e.dram_access)
+    assert _cost(op, replace(accel, energy=doubled)).energy == 2 * _cost(op, accel).energy

@@ -48,8 +48,9 @@ SIGNATURES = [
     (mapspace.sample_costs, ("nest", "accel", "n", "seed")),
     (mapspace.sample_stats, ("nest", "accel", "n", "seed")),
     (mapspace.exhaustive_best, ("nest", "accel")),
-    # the walk returns its drained bytes apart; each caller decides what to overlap
-    (hwmodel._tile_grid, ("op", "plan", "accel")),
+    # the walk returns its run cells' drained bytes apart; each caller decides
+    # what to overlap
+    (hwmodel._tile_cells, ("op", "plan", "accel")),
     # the builders set each operator's widths; no caller overrides them
     (workload.layer_ops_encoder, ("cfg", "layer", "heads")),
     # both order rules take the iterating flags and DRAM positions as rows
