@@ -1,8 +1,10 @@
 """Command-line surface: config ingestion, experiments, report emission.
 
 Reports carry a schema_version and a generated_by echo. CSV output is plain
-comma separation with '.' decimals; JSON keeps insertion key order and
-round-trips losslessly. Exit codes: 0 ok, 2 bad config, 3 I/O failure.
+comma separation with '.' decimals; JSON is strict (no NaN or Infinity),
+keeps insertion key order and round-trips losslessly. An infeasible memsweep
+split or fusion cell has no latency: None, written as null or an empty cell.
+Exit codes: 0 ok, 2 bad config or a number JSON cannot hold, 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -90,9 +92,10 @@ def cmd_memsweep(args):
     cfg = _load_model(args.model, args.seqlen)
     accel = _load_accel(args.accel)
     sweep_rows, best = memory_split_sweep(cfg, accel, args.total_kb)
+    spad_kb, acc_kb, latency, feasible = map(list, zip(*sweep_rows))
     names = ["scratchpad_kb", "accumulator_kb", "latency_cycles", "feasible", "best"]
-    return (names, [*map(list, zip(*sweep_rows)),
-                    [i == best for i in range(len(sweep_rows))]]), {}
+    return (names, [spad_kb, acc_kb, [x if ok else None for x, ok in zip(latency, feasible)],
+                    feasible, [i == best for i in range(len(sweep_rows))]]), {}
 
 
 def cmd_mapsearch(args):
@@ -124,8 +127,9 @@ def cmd_fusion(args):
     rows = []
     for name in pairs:
         grid = fusion_sweep(name, accel, acc_kbs, seq_lens)
-        rows.extend((name, kb, l, r.fused_latency, r.nonfused_latency, r.producer_penalty,
-                     r.hidden_cycles, r.verdict.value, r.feasible, r.reason)
+        rows.extend((name, kb, l, r.fused_latency if r.feasible else None, r.nonfused_latency,
+                     r.producer_penalty if r.feasible else None, r.hidden_cycles,
+                     r.verdict.value, r.feasible, r.reason)
                     for (kb, l), r in sorted(grid.items()))
     return (names, [*map(list, zip(*rows))]), {}
 
@@ -185,67 +189,61 @@ def _csv_texts(names: list, columns: list) -> list[str]:
     return [buf.getvalue(), (line * len(columns[0])) % tuple(chain.from_iterable(zip(*cells)))]
 
 
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-# between a row's cells, at the depth where indent=2 puts them
-_CELL_SEPARATORS = (",\n      ", ": ")
+# strict JSON: a column's cells split at "\n" (encoded JSON holds no raw
+# newline), and a list cell's items at the depth indent=2 gives them in a row
+_ONE_LINE = json.JSONEncoder(separators=("\n", ": "), allow_nan=False).encode
+_LIST_ITEMS = json.JSONEncoder(separators=(",\n        ", ": "), allow_nan=False).encode
 
 
-def _scalar_table_json(table) -> str | None:
-    """`table` as json.dumps(report, indent=2) writes it under a top-level
-    key, if it is a list of non-empty objects with str keys and scalar cells;
-    else None.
+def _json_cells(column) -> list[str]:
+    """The JSON text of each cell of a column, as json.dumps(report,
+    indent=2, allow_nan=False) writes it inside a row.
 
-    The C encoder writes the list with each cell on its own line already, and
-    only the row boundaries need re-indenting. Encoded JSON holds no raw
-    newline, so "},\n      {" occurs only between two rows.
+    A column of scalars is encoded in one C-encoder call. An item that
+    starts with "[" is a list cell (`search`'s `h`): such a column is
+    encoded cell by cell, each list in one C-encoder call.
     """
-    if type(table) is not list:
-        return None
-    if not table:
+    cells = column.tolist() if isinstance(column, np.ndarray) else column
+    body = _ONE_LINE(cells)[1:-1]
+    if not body.startswith("[") and "\n[" not in body:
+        return body.split("\n")
+    return ["[\n        " + _LIST_ITEMS(v)[1:-1] + "\n      ]" if isinstance(v, (list, tuple)) and v
+            else _ONE_LINE(v) for v in cells]
+
+
+def _json_table(names: list, columns: list) -> str:
+    """A table as json.dumps(report, indent=2) writes it under a top-level
+    key: a list of row objects. A repeated name keeps its last column at its
+    first place, as dict(zip(names, row)) does."""
+    if not columns or not len(columns[0]):
         return "[]"
-    if (set(map(type, table)) != {dict} or not all(table)
-            or set(map(type, chain.from_iterable(table))) != {str}
-            or not set(map(type, chain.from_iterable(map(dict.values, table)))) <= _SCALAR_TYPES):
-        return None
-    text = json.dumps(table, separators=_CELL_SEPARATORS)
-    return ("[\n    {\n      " + text[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-            + "\n    }\n  ]")
-
-
-def _json_text(report: dict) -> str:
-    """json.dumps(report, indent=2) + "\n", byte for byte.
-
-    CPython's json runs its pure-Python encoder whenever `indent` is set. A
-    report with str keys whose values are scalars or tables of scalar cells
-    is put together from the C encoder's output instead; any other report
-    (a `search` row's `h` is a list) keeps the indenting encoder.
-    """
-    pieces = []
-    for key, value in report.items():
-        text = json.dumps(value) if type(value) in _SCALAR_TYPES else _scalar_table_json(value)
-        if text is None or type(key) is not str:
-            return json.dumps(report, indent=2) + "\n"
-        pieces.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(pieces) + "\n}\n" if pieces else "{}\n"
+    by_name = dict(zip(names, columns))
+    row = ("    {\n" + ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s"
+                                 for name in by_name) + "\n    }")
+    cells = zip(*map(_json_cells, by_name.values()))
+    return "[\n" + ",\n".join([row] * len(columns[0])) % tuple(chain.from_iterable(cells)) + "\n  ]"
 
 
 def emit(header: dict, tables: dict, fmt: str, out: str | None) -> int:
     """Serialize a report; returns the UTF-8 bytes written.
 
     Each table is a (names, columns) pair: one column per name, all of one
-    length, each a list or a 1-D int64 or float64 array. JSON writes the
-    header keys and then each table as a list of objects; CSV writes the
-    "rows" table alone.
+    length, each a list or a 1-D int64 or float64 array. Names and header
+    keys are str; a header value is a JSON scalar, and a cell a JSON scalar
+    or a list or tuple of JSON scalars. JSON writes what json.dumps(report,
+    indent=2, allow_nan=False) writes for the header keys updated with each
+    table as a list of row objects; CSV writes the "rows" table alone. A
+    number JSON cannot hold (NaN, an infinity) raises ValueError, and then
+    nothing is written.
     """
     for key, (names, columns) in tables.items():
         if len(columns) != len(names) or len(set(map(len, columns))) > 1:
             raise ValueError(f"table {key!r} needs one column per name, all of one length")
     if fmt == "json":
-        report = dict(header)
-        for key, (names, columns) in tables.items():
-            lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-            report[key] = [dict(zip(names, row)) for row in zip(*lists)]
-        texts = [_json_text(report)]
+        parts = {key: _ONE_LINE(value) for key, value in header.items()}
+        parts.update((key, _json_table(*table)) for key, table in tables.items())
+        texts = ["{\n" + ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in parts.items())
+                 + "\n}\n" if parts else "{}\n"]
     else:
         texts = _csv_texts(*tables["rows"])
     written = 0
@@ -350,17 +348,13 @@ def _parse_args(argv: list) -> argparse.Namespace:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parse_args(argv)
+    header = {"schema_version": SCHEMA_VERSION, "generated_by": "tfperf " + " ".join(argv)}
     try:
         table, extra = args.func(args)
+        emit(header, {**extra, "rows": table}, args.format, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    header = {"schema_version": SCHEMA_VERSION, "generated_by": "tfperf " + " ".join(argv)}
-    try:
-        emit(header, {**extra, "rows": table}, args.format, args.out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -401,15 +401,20 @@ def _elementwise_cost(op: OperatorSpec, accel: AcceleratorConfig):
 # Public per-op costs
 # ---------------------------------------------------------------------------
 
+def _not_finite(latency: float, energy: float) -> InfeasibleConfigError:
+    """The error for a cost that is not finite, which is refused, not reported."""
+    return InfeasibleConfigError(
+        f"cost is not finite (latency {latency}, energy {energy}): check "
+        "dram_bytes_per_cycle and the energy table")
+
+
 def _report(latency, energy, traffic: dict, compute, accel: AcceleratorConfig) -> CostReport:
     """The one report constructor (`op_latency`, mapping rows): compute-bound
     when the compute cycles reach the DRAM bytes over the DRAM bandwidth.
     A latency or energy that is not finite is refused, not reported."""
     latency, energy = float(latency), float(energy)
     if not (math.isfinite(latency) and math.isfinite(energy)):
-        raise InfeasibleConfigError(
-            f"cost is not finite (latency {latency}, energy {energy}): check "
-            "dram_bytes_per_cycle and the energy table")
+        raise _not_finite(latency, energy)
     return CostReport(latency=latency, energy=energy,
                       traffic=MappingProxyType(traffic),
                       compute_bound=bool(compute >= traffic["dram"] / accel.dram_bw))

@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .hwmodel import (AcceleratorConfig, CostReport, InfeasibleConfigError, _out_bytes, _pad,
-                      _report)
+from .hwmodel import (AcceleratorConfig, CostReport, InfeasibleConfigError, _not_finite,
+                      _out_bytes, _pad, _report)
 from .workload import Conv, Matmul, OperatorSpec, _in_bytes
 
 MATMUL_DIMS = ("m", "k", "n")
@@ -441,7 +441,8 @@ def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int):
     """(latency, energy) arrays over n uniformly sampled valid mappings.
 
     A mapping costs what its loop-order class costs on its tile vector, so
-    each distinct (tile vector, class) pair drawn is costed once."""
+    each distinct (tile vector, class) pair drawn is costed once. A pair
+    whose EDP is not finite raises InfeasibleConfigError."""
     if n < 1:
         raise ValueError("n must be >= 1")
     space = _Space(nest, accel.pe_width)
@@ -456,6 +457,9 @@ def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int):
     rank = np.empty(len(seen), dtype=np.intp)
     rank[distinct] = np.arange(len(distinct))
     lat, en = _eval_batch(_class_batch(space, distinct), accel)[:2]
+    bad = np.flatnonzero(~np.isfinite(lat * en))
+    if len(bad):  # an EDP that is not finite is refused, as `_report` refuses a cost
+        raise _not_finite(float(lat[bad[0]]), float(en[bad[0]]))
     rows = rank[keys]
     return lat[rows], en[rows]
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tfperf import cli, hwmodel, mapspace
 from tfperf.cli import COMMANDS, build_parser, main
@@ -31,6 +31,15 @@ def run(capsys, *argv):
 
 def rows_of(text: str) -> list:
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """`text` parsed as RFC 8259 JSON: NaN, Infinity and -Infinity refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +654,29 @@ def json_tables(draw, cells):
 @given(st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=3),
        json_tables(st.one_of(JSON_SCALARS, JSON_CELLS)),
        st.dictionaries(JSON_TEXT, json_tables(JSON_SCALARS), max_size=2))
+@example({}, (["%s", "a%d%%"], [["%s", "%"], ["100%", "%(x)s"]]), {})  # % in names and cells
+@example({}, (["x", "y", "x"], [[1, 2], [3, 4], [5, 6]]), {})  # a repeated name
+@example({"trace": "t", "rows": "r", "a": "b"}, (["n"], [[1]]),
+         {"trace": (["round"], [[0, 1]])})  # table keys equal to header keys
+@example({}, (["a", "b"], [[], []]), {"trace": ([], [])})  # zero-row tables
+@example({}, (["h", "n"], [[[], [1]], [2, 3]]), {})  # an empty list cell
+@example({}, (["h", "d_FFN"], [[(4, 8), (2,)], [(), (1024, 4096)]]), {})  # tuples, as search's
+@example({}, (["x", "h"], [[np.float64(0.5), np.float64(-0.0)],
+                           [[np.float64(1e300)], [np.float64(5e-324), 1]]]), {})  # np.float64
+@example({}, (["x"], [[np.float64(math.inf)]]), {})  # not JSON: nothing is written
 def test_emit_json_matches_indented_dumps(header, rows_table, extra):
     # extra tables, as `search`'s trace is, of scalar cells only
     tables = {**extra, "rows": rows_table}
     report = {**header, **{key: [dict(zip(names, row)) for row in zip(*map(as_list, columns))]
                            for key, (names, columns) in tables.items()}}
-    expected = json.dumps(report, indent=2) + "\n"
     out = io.StringIO()
+    try:
+        expected = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # NaN or an infinity: no report, and nothing written
+        with contextlib.redirect_stdout(out), pytest.raises(ValueError):
+            cli.emit(header, tables, "json", None)
+        assert out.getvalue() == ""
+        return
     with contextlib.redirect_stdout(out):
         written = cli.emit(header, tables, "json", None)
     assert out.getvalue() == expected
@@ -659,21 +684,27 @@ def test_emit_json_matches_indented_dumps(header, rows_table, extra):
 
 
 def test_emit_json_encodes_scalar_tables_without_indent(monkeypatch):
-    """Only a table with a list cell, as `search` rows are, needs the
-    indenting encoder."""
-    indented = []
-    dumps = json.dumps
-    monkeypatch.setattr(json, "dumps", lambda obj, **kw: indented.append("indent" in kw)
-                        or dumps(obj, **kw))
+    """Each column is encoded in one call, and no call indents: the
+    indenting encoder is pure Python. A column with list cells, as `search`
+    rows have, takes one more call per cell, and neither a row nor the whole
+    report is ever encoded as one object."""
+    calls = []
+    iterencode = json.JSONEncoder.iterencode
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", lambda self, o, *a, **kw:
+                        calls.append((self.indent, type(o), o)) or iterencode(self, o, *a, **kw))
     header = {"schema_version": "1", "generated_by": "tfperf"}
     scalar_table = (["n", "x", "s", "z", "b"],
-                    [np.array([1]), np.array([0.5]), ["a"], [None], [True]])
+                    [np.array([1, 2]), np.array([0.5, 1.5]), ["a", "b"], [None, None],
+                     [True, False]])
     emit_text = io.StringIO()
     with contextlib.redirect_stdout(emit_text):
         cli.emit(header, {"trace": scalar_table, "rows": scalar_table}, "json", None)
-        assert not any(indented)
-        cli.emit(header, {"rows": (["n", "h"], [[1], [[2, 3]]])}, "json", None)
-        assert indented[-1]
+        assert [(indent, kind) for indent, kind, _ in calls] == [(None, list)] * 10
+        calls.clear()
+        cli.emit(header, {"rows": (["n", "h", "d_FFN"], [[1, 2], [(2, 3), (4,)], [[], [8]]])},
+                 "json", None)
+    assert {indent for indent, _, _ in calls} == {None}
+    assert [o for _, _, o in calls] == [[1, 2], [(2, 3), (4,)], (2, 3), (4,), [[], [8]], [], [8]]
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +768,8 @@ def test_python_m_tfperf_matches_full_parser(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ("latency",), ("fusion",), ("search", "--pop", "4", "--rounds", "2"),
     ("memsweep", "--total-kb", "320"),
-], ids=lambda a: a[0])
+    ("mapsearch", "--samples", "1000", "--format", "json"), ("mapsearch", "--samples", "1000"),
+], ids=["latency", "fusion", "search", "memsweep", "mapsearch-json", "mapsearch-csv"])
 def test_non_finite_costs_exit_2(tmp_path, argv):
     """A subnormal bandwidth passes the config check, but the costs it gives
     are not finite: the command prints no report and ends in one error line."""
@@ -749,6 +781,28 @@ def test_non_finite_costs_exit_2(tmp_path, argv):
                           timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,column", [
+    (("memsweep", "--total-kb", "96", "--accel", "pe64.json"), "latency_cycles"),
+    (("fusion", "--acc-kb", "8", "--seqlen", "4096", "--pair", "qk-softmax"), "fused_latency"),
+], ids=["memsweep", "fusion"])
+def test_infeasible_cells_are_null(tmp_path, monkeypatch, capsys, argv, column):
+    """An infeasible split or fusion cell has no cost: JSON null and an empty
+    CSV cell, beside feasible false; the report stays strict JSON."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pe64.json").write_text(
+        json.dumps({"pe_width": 64, "scratchpad_kb": 64, "accumulator_kb": 16}))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    infeasible = [row for row in strict_json(out)["rows"] if not row["feasible"]]
+    assert infeasible and all(row[column] is None for row in infeasible)
+    if argv[0] == "fusion":
+        assert all(row["producer_penalty"] is None for row in infeasible)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    infeasible = [row for row in rows_of(out) if row["feasible"] == "False"]
+    assert infeasible and all(row[column] == "" for row in infeasible)
 
 
 def test_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
@@ -787,11 +841,18 @@ def golden_argvs(command: str, model: str):
 
 
 def digests(capsys, argvs) -> dict:
-    """sha256 of stdout per argv; the working directory must hold decoder3.json."""
+    """sha256 of stdout per argv, each JSON output parsed strictly first; the
+    working directory must hold decoder3.json."""
     out = {}
     for argv in argvs:
         assert main(argv) == 0, argv
-        out[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        text = capsys.readouterr().out
+        if argv[argv.index("--format") + 1] == "json":
+            try:
+                strict_json(text)
+            except ValueError as exc:
+                pytest.fail(f"{' '.join(argv)}: {exc}")
+        out[" ".join(argv)] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 
