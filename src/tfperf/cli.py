@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -314,44 +315,30 @@ COMMANDS = {
 }
 
 
-def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    _, add_args, handler = COMMANDS[command]
-    add_args(parser)
-    parser.set_defaults(func=handler)
-    return parser
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full `tfperf` parser, or with `command` that subcommand's parser
-    alone, built as the full parser builds its subparser."""
-    if command is not None:
-        return _command_parser(argparse.ArgumentParser(prog=f"tfperf {command}"), command)
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The `tfperf` parser, built on the first call and reused: parsing
+    leaves no state in it."""
     parser = argparse.ArgumentParser(prog="tfperf",
                                      description="Accelerator performance toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, add_args, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
-
-
-def _parse_args(argv: list) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone; anything else (no
-    subcommand, `-h`, an unknown command, arguments left over) goes through
-    the full parser, which owns those messages."""
-    if argv and argv[0] in COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     header = {"schema_version": SCHEMA_VERSION, "generated_by": "tfperf " + " ".join(argv)}
+    # a non-finite cost is refused below with its cause; numpy's overflow
+    # warning on the way there would only add lines to stderr
     try:
-        table, extra = args.func(args)
-        emit(header, {**extra, "rows": table}, args.format, args.out)
+        with np.errstate(over="ignore"):
+            table, extra = args.func(args)
+            emit(header, {**extra, "rows": table}, args.format, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

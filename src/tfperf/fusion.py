@@ -65,10 +65,6 @@ class FusionPair:
                              f"{self.consumer.repeat} elements, producer writes {outputs}")
         return self
 
-    @property
-    def block_dim(self) -> str:
-        return "n" if self.reduction_dim == "m" else "m"
-
 
 @dataclass(frozen=True)
 class FusionReport:

@@ -139,10 +139,6 @@ class ModelConfig:
                 raise ConfigError(f"precision {p} not in {{1, 2, 4}} bytes")
         return self
 
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
 
 # ---------------------------------------------------------------------------
 # FLOPs / MOPs / intensity

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tfperf.hwmodel import accel_preset
@@ -47,6 +49,15 @@ def resnet50_conv_flops() -> int:
     construction, and the FC layer is not a convolution.
     """
     return conv_flops(*RESNET50_STEM) + resnet50_stage_conv_flops()
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """`text` parsed as RFC 8259 JSON: NaN, Infinity and -Infinity refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 # a small JSON decoder, `decoder3.json` in the CLI goldens

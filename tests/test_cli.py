@@ -20,7 +20,7 @@ from tfperf.cli import COMMANDS, build_parser, main
 from tfperf.hwmodel import _shape_key, accel_preset
 from tfperf.workload import model_ops, model_preset, resnet50_ops
 
-from conftest import DECODER3
+from conftest import DECODER3, strict_json
 
 
 def run(capsys, *argv):
@@ -31,15 +31,6 @@ def run(capsys, *argv):
 
 def rows_of(text: str) -> list:
     return list(csv.DictReader(io.StringIO(text)))
-
-
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not JSON")
-
-
-def strict_json(text: str):
-    """`text` parsed as RFC 8259 JSON: NaN, Infinity and -Infinity refused."""
-    return json.loads(text, parse_constant=_refuse_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +699,7 @@ def test_emit_json_encodes_scalar_tables_without_indent(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing: one subcommand's parser, the full parser as oracle
+# Argument parsing: one parser per process, a freshly built one as oracle
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -724,13 +715,14 @@ def outcome(capsys, argv) -> tuple:
     return code, captured.out, captured.err
 
 
-def full_parser_outcome(capsys, monkeypatch, argv) -> tuple:
-    """What `main(argv)` gives when the full parser parses every argv."""
-    monkeypatch.setattr(cli, "_parse_args", lambda a: build_parser().parse_args(a))
-    return outcome(capsys, argv)
+def fresh_parser_outcome(capsys, monkeypatch, argv) -> tuple:
+    """What `main(argv)` gives when it parses with a parser built for it alone."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", build_parser.__wrapped__)
+        return outcome(capsys, argv)
 
 
-def parity_argvs():
+def parse_argvs():
     yield from ([], ["-h"], ["bogus"])
     for command in COMMANDS:
         int_option = {"mapsearch": "--samples", "search": "--pop"}.get(command, "--seqlen")
@@ -741,38 +733,80 @@ def parity_argvs():
         yield [command, int_option, "x"]
         yield [command, *foreign]
         yield [command, "--for", "json"]
+    # valid calls that repeat options, abbreviate them or join their values
+    # with "=": an append list or a stored value must not outlive its call
+    yield ["fusion", "--acc-kb", "16", "--acc-kb=32", "--seqlen", "64", "--seqlen=128",
+           "--pair", "qk-softmax", "--pair=wout-ln", "--for", "json"]
+    yield ["fusion", "--acc-kb", "64", "--seqlen", "256", "--pair", "ffn2-ln"]
+    yield ["latency", "--seqlen", "64", "--seqlen=128", "--for=json"]
+    yield ["memsweep", "--seqlen", "64", "--total=256", "--model", "gpt2"]
+    yield ["mapsearch", "--op=bert.qk", "--samp", "200", "--samples", "300", "--for", "json"]
+    yield ["search", "--pop", "4", "--rou", "1", "--mut=0.5", "--format", "json"]
 
 
-@pytest.mark.parametrize("argv", list(parity_argvs()), ids=lambda a: "-".join(a) or "no-args")
+@pytest.mark.parametrize("argv", list(parse_argvs()), ids=lambda a: "-".join(a) or "no-args")
 def test_parsing_matches_full_parser(capsys, monkeypatch, argv):
+    """The parser built once per process gives, call after call, what a
+    freshly built full parser gives."""
     monkeypatch.setenv("COLUMNS", "80")
-    got = outcome(capsys, argv)
-    assert got == full_parser_outcome(capsys, monkeypatch, argv)
+    fresh = fresh_parser_outcome(capsys, monkeypatch, argv)
+    assert outcome(capsys, argv) == fresh
+    assert outcome(capsys, argv) == fresh
 
 
 @pytest.mark.parametrize("argv", [
-    ("analyze", "--seqlen", "128", "--format", "json"),  # the subcommand's parser alone
-    ("bogus",),                                          # no subcommand: the full parser
-    ("analyze", "--bogus"),                              # arguments left: the full parser
+    ("analyze", "--seqlen", "128", "--format", "json"),  # a report
+    ("bogus",),                                          # no subcommand
+    ("analyze", "--bogus"),                              # an unknown argument
 ], ids=["subcommand", "not-a-subcommand", "arguments-left"])
 def test_python_m_tfperf_matches_full_parser(capsys, monkeypatch, argv):
+    """A cold `python -m tfperf` gives what `main` gives in a warm process."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-m", "tfperf", *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     monkeypatch.setenv("COLUMNS", "80")
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
-        full_parser_outcome(capsys, monkeypatch, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == outcome(capsys, argv)
+
+
+def test_parser_is_built_once_on_the_first_call(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["latency", "--seqlen", "128"]) == 0
+    assert progs == ["tfperf", *(f"tfperf {c}" for c in COMMANDS)]
+    with pytest.raises(SystemExit):  # an unknown argument: the same parser reports it
+        main(["latency", "--bogus"])
+    assert main(["analyze", "--seqlen", "64"]) == 0
+    assert len(progs) == 1 + len(COMMANDS)
+    capsys.readouterr()
+
+
+def test_import_builds_no_parser():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import tfperf.cli as cli; "
+                           "print(cli.build_parser.cache_info().currsize)"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("argv", [
-    ("latency",), ("fusion",), ("search", "--pop", "4", "--rounds", "2"),
+    ("latency",), ("nonideal-ai",), ("fusion",), ("search", "--pop", "4", "--rounds", "2"),
     ("memsweep", "--total-kb", "320"),
     ("mapsearch", "--samples", "1000", "--format", "json"), ("mapsearch", "--samples", "1000"),
-], ids=["latency", "fusion", "search", "memsweep", "mapsearch-json", "mapsearch-csv"])
+], ids=["latency", "nonideal-ai", "fusion", "search", "memsweep", "mapsearch-json",
+        "mapsearch-csv"])
 def test_non_finite_costs_exit_2(tmp_path, argv):
     """A subnormal bandwidth passes the config check, but the costs it gives
-    are not finite: the command prints no report and ends in one error line."""
+    are not finite: the command prints no report and one error line alone,
+    without numpy's overflow warning."""
     accel = tmp_path / "accel.json"
     accel.write_text(json.dumps({"dram_bytes_per_cycle": 1e-320}))
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
@@ -780,7 +814,7 @@ def test_non_finite_costs_exit_2(tmp_path, argv):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,column", [
@@ -803,24 +837,6 @@ def test_infeasible_cells_are_null(tmp_path, monkeypatch, capsys, argv, column):
     assert code == 0
     infeasible = [row for row in rows_of(out) if row["feasible"] == "False"]
     assert infeasible and all(row[column] == "" for row in infeasible)
-
-
-def test_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
-    progs = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        progs.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert main(["latency", "--seqlen", "128"]) == 0
-    assert progs == ["tfperf latency"]
-    progs.clear()
-    with pytest.raises(SystemExit):  # an unrecognized argument is reported by the full parser
-        main(["latency", "--bogus"])
-    assert progs == ["tfperf latency", "tfperf", *(f"tfperf {c}" for c in COMMANDS)]
-    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Config loaders on arbitrary JSON: every document loads or is rejected cleanly."""
+"""Config loaders on arbitrary JSON: every document loads or is rejected
+cleanly, and every command reading it reports or exits 2 with one line."""
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,8 @@ from tfperf.archsearch import _SPACE_KEYS, space_from_json
 from tfperf.cli import main
 from tfperf.hwmodel import _ACCEL_KEYS, _ENERGY_KEYS, InfeasibleConfigError, accel_from_json
 from tfperf.workload import _MODEL_KEYS, ConfigError, model_from_json
+
+from conftest import strict_json
 
 # json.dumps writes NaN and inf as NaN and Infinity, which json.loads reads
 # back; this string becomes the literal 1e400, which json.loads reads as inf
@@ -97,6 +103,59 @@ def test_model_from_json_fuzz(doc, seq_len):
 @given(doc=documents(SPACE, _SPACE_KEYS))
 def test_space_from_json_fuzz(doc):
     check_loads_or_rejects(space_from_json, doc)
+
+
+def check_commands_report_or_exit_2(path, doc, option, argvs):
+    """Each command run on `doc` as its `option` file either exits 2 with one
+    error line alone, or exits 0 with a strict JSON report and no warning."""
+    path.write_text(as_text(doc))
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main([*argv, option, str(path), "--format", "json"])
+        assert [str(w.message) for w in caught] == [], argv
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv
+        else:
+            assert (code, err.getvalue()) == (0, ""), argv
+            strict_json(out.getvalue())
+
+
+# a small model for the accelerator documents to cost
+SMALL_MODEL = {"layers": 1, "d": 64, "heads": 2, "d_ffn": 128, "seq_len": 32}
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=documents(ACCEL, _ACCEL_KEYS))
+def test_commands_on_fuzzed_accel_documents(tmp_path_factory, doc):
+    root = tmp_path_factory.getbasetemp()
+    model = root / "small_model.json"
+    model.write_text(json.dumps(SMALL_MODEL))
+    check_commands_report_or_exit_2(root / "accel.json", doc, "--accel", [
+        ["latency", "--model", str(model)],
+        ["nonideal-ai", "--model", str(model)],
+        ["memsweep", "--model", str(model), "--total-kb", "64"],
+        ["fusion", "--pair", "qk-softmax", "--acc-kb", "32", "--seqlen", "64"],
+        ["mapsearch", "--op", "bert.qk", "--samples", "50"],
+        ["search", "--pop", "4", "--rounds", "1"],
+    ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=documents(MODEL, _MODEL_KEYS))
+def test_commands_on_fuzzed_model_documents(tmp_path_factory, doc):
+    check_commands_report_or_exit_2(tmp_path_factory.getbasetemp() / "model.json", doc,
+                                    "--model", [["analyze"], ["latency"], ["memsweep"]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=documents(SPACE, _SPACE_KEYS))
+def test_commands_on_fuzzed_space_documents(tmp_path_factory, doc):
+    check_commands_report_or_exit_2(tmp_path_factory.getbasetemp() / "space.json", doc,
+                                    "--space", [["search", "--pop", "4", "--rounds", "1"]])
 
 
 def test_fuzz_text_carries_non_finite_numbers():

@@ -3,17 +3,21 @@
 Roofline bounds (Williams, Waterman and Patterson, CACM 2009): an operator
 takes at least its DRAM bytes over the DRAM bandwidth, and a matmul or conv
 at least its MACs over the W x W array; a matmul or conv moves at least its
-compulsory bytes, each operand and output once. Metamorphic laws: latency
-does not rise with the bandwidth, `repeat` scales every total, and the
-energy is linear in the energy table.
+compulsory bytes, each operand and output once. The same bounds hold for a
+sampled mapping's cost and for a fused producer/consumer schedule.
+Metamorphic laws: latency does not rise with the bandwidth, `repeat` scales
+every total, and the energy is linear in the energy table.
 """
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tfperf import fusion, mapspace
 from tfperf.hwmodel import (AcceleratorConfig, EnergyTable, InfeasibleConfigError,
                             _out_bytes, matmul_dims, op_latency)
+from tfperf.mapspace import conv_nest, matmul_nest
 from tfperf.workload import (Conv, Elementwise, Matmul, MatvecSeries, OperatorClass,
                              OperatorSpec, _in_bytes)
 
@@ -109,3 +113,63 @@ def test_energy_is_linear_in_the_table(op, accel):
     doubled = EnergyTable(2 * e.mac_energy, 2 * e.scratchpad_access,
                           2 * e.accumulator_access, 2 * e.dram_access)
     assert _cost(op, replace(accel, energy=doubled)).energy == 2 * _cost(op, accel).energy
+
+
+_nests = st.builds(
+    lambda nest, precisions: replace(nest, precisions=precisions),
+    st.one_of(st.builds(matmul_nest, _dims, _dims, _dims),
+              st.builds(lambda k, ic, oc, hw, stride: conv_nest(Conv(k, ic, oc, hw, hw, stride)),
+                        st.sampled_from((1, 3)), st.integers(1, 64), st.integers(1, 64),
+                        st.integers(1, 20), st.integers(1, 2))),
+    st.tuples(_widths, _widths, _widths))
+
+
+def _compulsory_bytes(nest) -> int:
+    """Each operand and output element of the nest moved once: a conv reads
+    the input rows and columns its windows touch."""
+    in1_b, in2_b, out_b = nest.precisions
+    if nest.is_conv:
+        oc, ic, kh, kw, oh, ow = nest.extents
+        s = nest.stride
+        ih, iw = min((oh - 1) * s + kh, oh * kh), min((ow - 1) * s + kw, ow * kw)
+        return ic * ih * iw * in1_b + oc * ic * kh * kw * in2_b + oc * oh * ow * out_b
+    M, K, N = nest.extents
+    return M * K * in1_b + K * N * in2_b + M * N * out_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(nest=_nests, accel=_accels, seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_mapping_roofline_bounds(nest, accel, seed):
+    try:
+        rep = mapspace.evaluate(mapspace.random_mapping(nest, accel.check(), seed), accel)
+    except InfeasibleConfigError:  # no mapping fits the drawn capacities
+        assume(False)
+    W = accel.pe_width
+    assert rep.latency >= rep.traffic["dram"] / accel.dram_bw * (1 - 1e-12)
+    assert rep.latency >= math.prod(nest.extents) / (W * W)
+    assert rep.traffic["dram"] >= _compulsory_bytes(nest)
+
+
+@st.composite
+def _fusion_pairs(draw):
+    M, K, N = draw(_dims), draw(_dims), draw(_dims)
+    repeat = draw(st.integers(1, 4))
+    producer = OperatorSpec("p", OperatorClass.ActToAct, Matmul(M, K, N), repeat=repeat,
+                            in_precisions=tuple(draw(st.lists(_widths, min_size=1, max_size=2))),
+                            out_precision=draw(_widths), pre_nonlinear=True)
+    consumer = OperatorSpec("c", OperatorClass.Nonlinear,
+                            Elementwise(M * N, draw(st.integers(1, 8)), draw(st.integers(1, 3))),
+                            repeat=repeat, out_precision=draw(_widths), wide_inputs=True)
+    return fusion.FusionPair(producer, consumer, draw(st.sampled_from(("m", "n"))))
+
+
+@settings(max_examples=250, deadline=None)
+@given(pair=_fusion_pairs(), accel=_accels)
+def test_fused_latency_roofline_bound(pair, accel):
+    try:
+        rep = fusion.eval_pair(pair, accel.check())
+    except InfeasibleConfigError:  # the non-fused producer fits no tile
+        assume(False)
+    assume(rep.feasible)
+    M, K, N = matmul_dims(pair.producer)
+    assert rep.fused_latency >= M * K * N * pair.producer.repeat / accel.pe_width ** 2

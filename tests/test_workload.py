@@ -278,7 +278,7 @@ def test_config_validation():
 def test_model_from_json():
     cfg = model_from_json('{"name": "tiny", "layers": 2, "d": 128, "heads": 4, '
                           '"d_ffn": 512, "seq_len": 64, "mode": "encoder"}')
-    assert cfg.num_layers == 2 and cfg.head_dim == 32
+    assert cfg.num_layers == 2 and cfg.model_dim // cfg.num_heads == 32
     with pytest.raises(ConfigError):
         model_from_json('{"layers": 2}')
 
