@@ -98,23 +98,36 @@ def _pick(rng: np.random.Generator, vals: tuple) -> int:
     return int(vals[rng.integers(len(vals))])
 
 
-def sample_candidate(space: SearchSpace, seed) -> Candidate:
-    space.check()
-    rng = _rng(seed)
+def _decode(enc: tuple, quality: float = math.nan, edp: float = math.nan) -> Candidate:
+    n = enc[0]
+    return Candidate(n, enc[1], enc[2:2 + n], enc[2 + n:], quality, edp)
+
+
+def _probability(p: float) -> float:
+    if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
+        raise ConfigError("mutation probability must be in [0, 1]")
+    return p
+
+
+def _sample(space: SearchSpace, rng: np.random.Generator) -> tuple:
+    """A uniform draw from the space, as a candidate encoding."""
     n = _pick(rng, space.layer_counts)
     d = _pick(rng, space.model_dims)
     h = tuple(_pick(rng, space.heads_per_layer) for _ in range(n))
     dff = tuple(_pick(rng, space.ffn_dims_per_layer) for _ in range(n))
-    return Candidate(n, d, h, dff)
+    return (n, d) + h + dff
 
 
-def mutate(c: Candidate, p: float, seed, space: SearchSpace = DEFAULT_SPACE) -> Candidate:
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("mutation probability must be in [0, 1]")
-    rng = _rng(seed)
-    n = _pick(rng, space.layer_counts) if rng.random() < p else c.N
-    d = _pick(rng, space.model_dims) if rng.random() < p else c.d
-    h, dff = list(c.h[:n]), list(c.d_FFN[:n])
+def sample_candidate(space: SearchSpace, seed) -> Candidate:
+    return _decode(_sample(space.check(), _rng(seed)))
+
+
+def _mutate(enc: tuple, p: float, rng: np.random.Generator, space: SearchSpace) -> tuple:
+    """A child of an encoding: each gene redrawn with probability p."""
+    n0 = enc[0]
+    n = _pick(rng, space.layer_counts) if rng.random() < p else n0
+    d = _pick(rng, space.model_dims) if rng.random() < p else enc[1]
+    h, dff = list(enc[2:2 + n0][:n]), list(enc[2 + n0:][:n])
     while len(h) < n:  # N grew: fresh genes for the new layers
         h.append(_pick(rng, space.heads_per_layer))
         dff.append(_pick(rng, space.ffn_dims_per_layer))
@@ -123,7 +136,13 @@ def mutate(c: Candidate, p: float, seed, space: SearchSpace = DEFAULT_SPACE) -> 
             h[i] = _pick(rng, space.heads_per_layer)
         if rng.random() < p:
             dff[i] = _pick(rng, space.ffn_dims_per_layer)
-    return Candidate(n, d, tuple(h), tuple(dff))
+    return (n, d, *h, *dff)
+
+
+def mutate(c: Candidate, p: float, seed, space: SearchSpace = DEFAULT_SPACE) -> Candidate:
+    if len(c.h) != c.N or len(c.d_FFN) != c.N:  # the encoding splits its genes at N
+        raise ConfigError("per-layer lists must have length N")
+    return _decode(_mutate(c.encode(), _probability(p), _rng(seed), space))
 
 
 def baseline(space: SearchSpace = DEFAULT_SPACE) -> Candidate:
@@ -133,9 +152,14 @@ def baseline(space: SearchSpace = DEFAULT_SPACE) -> Candidate:
                      (max(space.ffn_dims_per_layer),) * n)
 
 
+def _quality(d: int, ffns: tuple) -> float:
+    """Parameter count: four d*d attention matrices plus two FFN matrices per
+    layer, summed in exact integers."""
+    return float(2 * d * (2 * d * len(ffns) + sum(ffns)))
+
+
 def quality_proxy(c: Candidate) -> float:
-    """Parameter count: four d*d attention matrices plus two FFN matrices per layer."""
-    return float(sum(4 * c.d * c.d + 2 * c.d * f for f in c.d_FFN))
+    return _quality(c.d, c.d_FFN)
 
 
 SEQ_LEN = 512  # the sequence length every candidate is costed at
@@ -161,7 +185,7 @@ def candidate_ops(c: Candidate) -> list[OperatorSpec]:
 # wq, wk, wv, wout and add_ln1 on d; qk, softmax and sv on (d, h); w1, gelu,
 # w2 and add_ln2 on (d, d_FFN).
 _PARTS = ((0, 1, 2, 6, 7), (3, 4, 5), (8, 9, 10, 11))
-_PART_COLUMNS = _PARTS[0] + _PARTS[1] + _PARTS[2]  # where each part's pairs go in a layer row
+_OP_ORDER = [sum(_PARTS, ()).index(j) for j in range(12)]  # part-by-part row to op order
 
 
 class CostCache(OpCostTable):
@@ -175,8 +199,9 @@ class CostCache(OpCostTable):
     operator is looked up only when its part is first built. `layers` maps
     (d, h, d_FFN) to a row of the layer tables `costs[0]` (latency) and
     `costs[1]` (energy), which hold a layer's 12 operator costs in operator
-    order; row 0 is all zeros, and the tables grow by doubling. A cache
-    lives for one search.
+    order; row 0 is all zeros. A new layer's pairs wait in a pending list
+    until `_written` appends them all to the tables in one array call. A
+    cache lives for one search.
     """
 
     # bound on this class too, so that wrapping the search's operator
@@ -186,8 +211,9 @@ class CostCache(OpCostTable):
     def __init__(self, accel: AcceleratorConfig):
         super().__init__(accel)
         self.layers: dict = {}
-        self.costs = np.zeros((2, 64, len(_PART_COLUMNS)))
+        self.costs = np.zeros((2, 1, len(_OP_ORDER)))
         self._parts: tuple[dict, dict, dict] = ({}, {}, {})
+        self._pending: list = []
 
     def _layer(self, i: int, key: tuple) -> int:
         """The `costs` row of a candidate's layer `i`, whose (d, h, d_FFN) is
@@ -207,13 +233,18 @@ class CostCache(OpCostTable):
             for p in missing:
                 self._parts[p][part_keys[p]] = [(reps[j].latency, reps[j].energy)
                                                 for j in _PARTS[p]]
-        row = len(self.layers) + 1
-        if row == self.costs.shape[1]:
-            self.costs = np.concatenate([self.costs, np.zeros_like(self.costs)], axis=1)
-        self.costs[:, row, _PART_COLUMNS] = np.transpose(
-            [pair for table, k in zip(self._parts, part_keys) for pair in table[k]])
-        self.layers[key] = row
+        self._pending.append([pair for table, k in zip(self._parts, part_keys)
+                              for pair in table[k]])
+        row = self.layers[key] = len(self.layers) + 1
         return row
+
+    def _written(self) -> np.ndarray:
+        """`costs`, with every pending layer appended."""
+        if self._pending:
+            new = np.transpose(self._pending, (2, 0, 1))[..., _OP_ORDER]
+            self.costs = np.concatenate([self.costs, new], axis=1)
+            self._pending.clear()
+        return self.costs
 
 
 def _accumulate(values: np.ndarray) -> np.ndarray:
@@ -224,37 +255,35 @@ def _accumulate(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=-1)[..., -1]
 
 
-def _cost_round(cands: list[Candidate], cache: CostCache):
-    """Costs candidates in one array pass over the cache's layer table.
+def _cost_round(encs: list[tuple], cache: CostCache):
+    """Costs candidate encodings in one array pass over the cache's layer table.
 
-    Returns (costed candidates, their EDPs, (candidate, error) pairs), each
-    in the order of `cands`. A candidate whose layer config check or
-    costing raises `ConfigError` or `ValueError` is set aside with its error,
-    and the others are still costed. Each costed candidate's layers become
-    one row of layer-table indices, padded with the zero row; its total
-    latency and energy then add up the per-operator costs in operator order,
-    the same sums as over `candidate_ops`, and adding the padding's zeros
-    after them leaves those totals as they are.
+    Returns (costed encodings, their EDPs, (encoding, error) pairs), each in
+    the order of `encs`. A candidate whose layer config check or costing
+    raises `ConfigError` or `ValueError` is set aside with its error, and
+    the others are still costed. Each costed candidate's layers become one
+    row of layer-table indices, padded with the zero row; its total latency
+    and energy then add up the per-operator costs in operator order, the
+    same sums as over `candidate_ops`, and adding the padding's zeros after
+    them leaves those totals as they are.
     """
-    layers = cache.layers
+    layers, layer = cache.layers, cache._layer
     kept, rows, errors = [], [], []
-    for c in cands:
-        try:
-            ids = []
-            for i in range(c.N):
-                key = (c.d, c.h[i], c.d_FFN[i])
-                row = layers.get(key)
-                ids.append(cache._layer(i, key) if row is None else row)
+    for enc in encs:
+        n, d = enc[0], enc[1]
+        try:  # row 0 is no layer's, so `or` falls through to a miss only
+            ids = [layers.get(key) or layer(i, key)
+                   for i, key in enumerate(zip((d,) * n, enc[2:2 + n], enc[2 + n:]))]
         except ValueError as exc:
-            errors.append((c, exc))
+            errors.append((enc, exc))
             continue
-        kept.append(c)
+        kept.append(enc)
         rows.append(ids)
     if not rows:
         return kept, [], errors
     width = max(map(len, rows))
     index = np.array([ids + [0] * (width - len(ids)) for ids in rows])
-    lat, energy = _accumulate(cache.costs[:, index].reshape(2, len(rows), -1))
+    lat, energy = _accumulate(cache._written()[:, index].reshape(2, len(rows), -1))
     return kept, (lat * energy).tolist(), errors
 
 
@@ -263,18 +292,15 @@ def candidate_edp(c: Candidate, cache: CostCache) -> float:
     on the cache's accelerator: a round of one candidate."""
     if c.N < 1 or len(c.h) != c.N or len(c.d_FFN) != c.N:
         raise ConfigError(f"need N >= 1 and per-layer lists of length N, got {c.encode()}")
-    _, edps, errors = _cost_round([c], cache)
+    _, edps, errors = _cost_round([c.encode()], cache)
     if errors:
         raise errors[0][1]
     return edps[0]
 
 
-def _scored(c: Candidate, edp: float) -> Candidate:
-    return Candidate(c.N, c.d, c.h, c.d_FFN, quality_proxy(c), edp)
-
-
 def evaluate(c: Candidate, cache: CostCache) -> Candidate:
-    return _scored(c, candidate_edp(c, cache))
+    edp = candidate_edp(c, cache)
+    return Candidate(c.N, c.d, c.h, c.d_FFN, quality_proxy(c), edp)
 
 
 @dataclass(frozen=True)
@@ -300,26 +326,25 @@ class ParetoFront:
         return self.points[0].edp if self.points else math.inf
 
 
-def pareto(points: list[Candidate]) -> ParetoFront:
-    """Non-dominated points (max quality, min edp), by one sorted sweep.
-
-    This is the 2-D maxima algorithm of Kung, Luccio & Preparata (JACM 1975):
-    after sorting by (edp, -quality), a point is dominated exactly when an
-    earlier one has at least its quality.
+def _sweep(rows: list) -> list:
+    """The non-dominated (edp, -quality, encoding, ...) rows, by the 2-D
+    maxima sweep of Kung, Luccio & Preparata (JACM 1975): once sorted, a row
+    is dominated exactly when an earlier one has at least its quality. Of
+    rows tied on (quality, edp), the smallest encoding sorts first and stays.
     """
+    front: list = []
+    for row in sorted(rows):
+        if not front or front[-1][1] > row[1]:
+            front.append(row)
+    return front
+
+
+def pareto(points: list[Candidate]) -> ParetoFront:
+    """Non-dominated points (max quality, min edp), sorted by edp."""
     if any(math.isnan(p.quality) or math.isnan(p.edp) for p in points):
         raise ConfigError("front contains an unevaluated candidate")
-    # one representative per (quality, edp) pair, canonical-encoding tie-break
-    best: dict = {}
-    for p in points:
-        key = (p.quality, p.edp)
-        if key not in best or p.encode() < best[key].encode():
-            best[key] = p
-    front: list[Candidate] = []
-    for p in sorted(best.values(), key=lambda p: (p.edp, -p.quality)):
-        if not front or front[-1].quality < p.quality:
-            front.append(p)
-    return ParetoFront(tuple(front)).check()
+    front = _sweep([(p.edp, -p.quality, p.encode(), i) for i, p in enumerate(points)])
+    return ParetoFront(tuple(points[row[3]] for row in front)).check()
 
 
 def evolve(space: SearchSpace = DEFAULT_SPACE,
@@ -327,9 +352,12 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
            pop: int = 40, rounds: int = 40, p: float = 0.2, seed=0,
            cache: CostCache | None = None) -> ParetoFront:
     """Pareto-retention evolution; deterministic per seed. A given `cache`
-    must have been built for `accel`."""
+    must have been built for `accel`. The search runs on encodings, with the
+    front kept as sorted (edp, -quality, encoding) rows; only the returned
+    front is built as `Candidate`s."""
     if pop < 2 or rounds < 1:
         raise ConfigError("need pop >= 2 and rounds >= 1")
+    _probability(p)
     if accel is None:
         accel = accel_preset("gemmini-baseline")
     if cache is None:
@@ -338,22 +366,23 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
         raise ValueError("cost cache was built for another accelerator")
     space.check()
     rng = _rng(seed)
-    population = [sample_candidate(space, rng) for _ in range(pop)]
+    population = [_sample(space, rng) for _ in range(pop)]
     trace: list = []
     discarded: list = []
-    front = ParetoFront(())
+    front: list = []
     for rnd in range(1, rounds + 1):
         kept, edps, errors = _cost_round(population, cache)
-        discarded.extend((c.encode(), str(exc)) for c, exc in errors)
-        scored = list(map(_scored, kept, edps))
-        front = pareto(list(front.points) + scored)
-        if not front.points:  # every candidate so far was discarded: none to mutate
+        discarded.extend((enc, str(exc)) for enc, exc in errors)
+        front = _sweep(front + [(e, -_quality(enc[1], enc[2 + enc[0]:]), enc)
+                                for enc, e in zip(kept, edps)])
+        if not front:  # every candidate so far was discarded: none to mutate
             raise InfeasibleConfigError(
                 f"no candidate fits the accelerator; first discard: {discarded[0][1]}")
-        trace.append((rnd, front.min_edp, len(front.points)))
-        population = []
-        i = 0
-        while len(population) < pop - len(front.points):
-            population.append(mutate(front.points[i % len(front.points)], p, rng, space))
-            i += 1
-    return ParetoFront(front.points, tuple(trace), tuple(discarded)).check()
+        # sorted by edp, an infinite one comes last
+        if not math.isfinite(front[-1][0]) or any(map(math.isnan, edps)):
+            raise ConfigError("front contains an unevaluated candidate")
+        trace.append((rnd, front[0][0], len(front)))
+        population = [_mutate(front[i % len(front)][2], p, rng, space)
+                      for i in range(pop - len(front))]
+    points = tuple(_decode(enc, -q, e) for e, q, enc in front)
+    return ParetoFront(points, tuple(trace), tuple(discarded)).check()

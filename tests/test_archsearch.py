@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfperf.workload import ConfigError
-from tfperf.hwmodel import AcceleratorConfig, InfeasibleConfigError, accel_preset, op_latency
+from tfperf.hwmodel import (AcceleratorConfig, EnergyTable, InfeasibleConfigError, accel_preset,
+                            op_latency)
 from tfperf.archsearch import (
     DEFAULT_SPACE,
     Candidate,
@@ -158,8 +159,15 @@ def test_mutate_stays_in_space():
 
 
 def test_mutate_rejects_bad_probability():
-    with pytest.raises(ConfigError):
-        mutate(T11, 1.5, 0)
+    for p in (1.5, math.nan):
+        with pytest.raises(ConfigError):
+            mutate(T11, p, 0)
+
+
+def test_mutate_rejects_a_malformed_candidate():
+    for c in (Candidate(2, 384, (4,), (768, 768)), Candidate(1, 384, (4,), (768, 768))):
+        with pytest.raises(ConfigError, match="length N"):
+            mutate(c, 0.2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +233,9 @@ def test_layer_memo_matches_flat_sum(cands, data):
     for a in (accel_preset("gemmini-baseline"), accel_preset("gemmini-tuned")):
         want = {c: _flat_edp(c, a) for c in round_}
         cache = CostCache(a)
-        kept, edps, errors = _cost_round(round_, cache)
-        assert kept == round_ and not errors
+        encs = [c.encode() for c in round_]
+        kept, edps, errors = _cost_round(encs, cache)
+        assert kept == encs and not errors
         assert edps == [want[c] for c in round_]  # bit for bit
         for c in cands:
             assert candidate_edp(c, cache) == want[c]
@@ -252,9 +261,10 @@ def test_round_discards_like_costing_one_at_a_time(a):
         else:
             want_kept.append(c)
             want_edps.append(edp)
-    kept, edps, errors = _cost_round(round_, CostCache(a))
-    assert (kept, edps) == (want_kept, want_edps)
-    assert [(c, str(exc)) for c, exc in errors] == want_errors
+    kept, edps, errors = _cost_round([c.encode() for c in round_], CostCache(a))
+    assert (kept, edps) == ([c.encode() for c in want_kept], want_edps)
+    assert [(enc, str(exc)) for enc, exc in errors] == [(c.encode(), msg)
+                                                       for c, msg in want_errors]
     assert len(errors) == (2 if a.accumulator_bytes > 1024 else len(round_))
 
 
@@ -266,9 +276,9 @@ def test_more_heads_than_model_dim_is_a_config_error(accel):
         with pytest.raises(ConfigError, match="heads"):
             cost(wide, CostCache(accel))
     small = Candidate(3, 384, (4, 6, 4), (768, 896, 768))
-    kept, edps, errors = _cost_round([wide, small], CostCache(accel))
-    assert kept == [small] and edps == [candidate_edp(small, CostCache(accel))]
-    assert [c for c, _ in errors] == [wide]
+    kept, edps, errors = _cost_round([wide.encode(), small.encode()], CostCache(accel))
+    assert kept == [small.encode()] and edps == [candidate_edp(small, CostCache(accel))]
+    assert [enc for enc, _ in errors] == [wide.encode()]
     # h == d and a non-divisor h are still costed
     assert candidate_edp(Candidate(1, 16, (16,), (64,)), CostCache(accel)) > 0
     assert candidate_edp(Candidate(1, 384, (5,), (768,)), CostCache(accel)) > 0
@@ -456,6 +466,13 @@ def test_evolve_rejects_bad_args(accel):
         evolve(pop=1, rounds=1, accel=accel)
     with pytest.raises(ConfigError):
         evolve(pop=4, rounds=0, accel=accel)
+    # the front of pop 2 fills the population, so no child is ever mutated:
+    # the probability is checked before anything is costed
+    cache = CostCache(accel)
+    for p in (5.0, -0.1, math.nan):
+        with pytest.raises(ConfigError, match="mutation probability"):
+            evolve(pop=2, rounds=3, p=p, seed=1, accel=accel, cache=cache)
+    assert (cache.hits, cache.misses, cache.layers) == (0, 0, {})
 
 
 def test_evolve_rejects_accel_fitting_no_operator():
@@ -493,3 +510,126 @@ def test_evolve_matches_goldens(golden, accel):
                    seed=golden["seed"], accel=accel)
     want = {k: golden[k] for k in ("points", "trace", "discarded")}
     assert _front_doc(front) == want
+
+
+# ---------------------------------------------------------------------------
+# Old versus new: the search on Candidates, as it was before it kept the
+# front as encoding rows
+# ---------------------------------------------------------------------------
+
+def _scored(c: Candidate, edp: float) -> Candidate:
+    return Candidate(c.N, c.d, c.h, c.d_FFN, quality_proxy(c), edp)
+
+
+def _reference_evolve(space=DEFAULT_SPACE, accel=None, pop=40, rounds=40, p=0.2, seed=0,
+                      cache=None) -> ParetoFront:
+    """Each round scores every kept child as a `Candidate` and re-sweeps the
+    whole front through `pareto`; children come from `mutate`."""
+    if pop < 2 or rounds < 1:
+        raise ConfigError("need pop >= 2 and rounds >= 1")
+    if accel is None:
+        accel = accel_preset("gemmini-baseline")
+    if cache is None:
+        cache = CostCache(accel)
+    elif cache.accel != accel:
+        raise ValueError("cost cache was built for another accelerator")
+    space.check()
+    rng = np.random.default_rng(seed)
+    population = [sample_candidate(space, rng) for _ in range(pop)]
+    trace: list = []
+    discarded: list = []
+    front = ParetoFront(())
+    for rnd in range(1, rounds + 1):
+        by_encoding = {c.encode(): c for c in population}
+        kept, edps, errors = _cost_round([c.encode() for c in population], cache)
+        discarded.extend((enc, str(exc)) for enc, exc in errors)
+        scored = list(map(_scored, map(by_encoding.get, kept), edps))
+        front = pareto(list(front.points) + scored)
+        if not front.points:  # every candidate so far was discarded: none to mutate
+            raise InfeasibleConfigError(
+                f"no candidate fits the accelerator; first discard: {discarded[0][1]}")
+        trace.append((rnd, front.min_edp, len(front.points)))
+        population = []
+        i = 0
+        while len(population) < pop - len(front.points):
+            population.append(mutate(front.points[i % len(front.points)], p, rng, space))
+            i += 1
+    return ParetoFront(front.points, tuple(trace), tuple(discarded)).check()
+
+
+_TINY = SearchSpace(layer_counts=(1, 2), heads_per_layer=(2, 4), model_dims=(64, 96),
+                    ffn_dims_per_layer=(128, 256))
+# At these bandwidths the attention latencies of a 16-head layer overflow to
+# infinity, so a candidate with one is discarded; a candidate of one- and
+# two-head layers costs a finite EDP at 1.6e-301, and at 1e-301 an infinite
+# one (its operators' latencies add up past the largest float)
+_HEADS = SearchSpace(layer_counts=(1, 2), heads_per_layer=(1, 2, 16), model_dims=(64, 96),
+                     ffn_dims_per_layer=(128, 256))
+_FAINT = EnergyTable(0.0, 1e-200, 0.0, 2e-200)
+
+
+def _outcome(search, **kw):
+    try:
+        with np.errstate(over="ignore"):
+            return _front_doc(search(**kw))
+    except (ConfigError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_FRONT, _DISCARDS = "front", "front and discards"
+
+
+@pytest.mark.parametrize("kw, ends", [
+    (dict(pop=2, rounds=6, seed=0), _FRONT),
+    (dict(pop=200, rounds=6, seed=1), _FRONT),
+    (dict(pop=17, rounds=8, p=1.0, seed=2, accel=accel_preset("gemmini-tuned")), _FRONT),
+    (dict(pop=9, rounds=5, p=0.0, seed=3), _FRONT),
+    *((dict(pop=40, rounds=12, seed=seed), _FRONT) for seed in (10, 11, 12)),
+    (dict(pop=30, rounds=10, seed=4, space=_TINY), _FRONT),
+    (dict(pop=25, rounds=6, p=1.0, seed=5, space=_TINY), _FRONT),
+    (dict(pop=12, rounds=6, seed=0, space=_HEADS,
+          accel=AcceleratorConfig(dram_bw=1.6e-301, energy=_FAINT)), _DISCARDS),
+    # an infinite EDP on the last front, and one that only an earlier front held
+    *((dict(pop=12, rounds=6, seed=seed, space=_HEADS,
+            accel=AcceleratorConfig(dram_bw=1e-301, energy=_FAINT)), "ConfigError")
+      for seed in (0, 3)),
+    (dict(pop=6, rounds=3, seed=6, accel=AcceleratorConfig(accumulator_bytes=1024)),
+     "InfeasibleConfigError"),
+], ids=["pop2", "pop200", "p1-tuned", "p0", "seed10", "seed11", "seed12", "tiny-space",
+        "tiny-space-p1", "discards-some", "infinite-edp-last", "infinite-edp-dropped",
+        "discards-all"])
+def test_evolve_matches_the_candidate_search(kw, ends):
+    # encodings, quality and EDP bits, trace and discards, or the same error
+    want = _outcome(_reference_evolve, **kw)
+    assert _outcome(evolve, **kw) == want
+    if isinstance(want, dict):
+        assert want["points"] and bool(want["discarded"]) == (ends == _DISCARDS)
+    else:
+        assert want[0] == ends
+
+
+def test_evolve_matches_the_candidate_search_on_a_shared_cache(accel):
+    shared = CostCache(accel)
+    for seed in (7, 8):
+        fresh = CostCache(accel)
+        want = _front_doc(_reference_evolve(pop=20, rounds=6, seed=seed, accel=accel,
+                                            cache=fresh))
+        assert _front_doc(evolve(pop=20, rounds=6, seed=seed, accel=accel,
+                                 cache=shared)) == want
+        if seed == 7:  # the same lookups, and the same layer rows, from the same start
+            assert (shared.hits, shared.misses, shared.layers) == (
+                fresh.hits, fresh.misses, fresh.layers)
+            assert (shared._written() == fresh._written()).all()
+
+
+def test_evolve_builds_candidates_only_for_the_front(accel, monkeypatch):
+    built = []
+    init = Candidate.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Candidate, "__init__", counting)
+    front = evolve(pop=200, rounds=50, accel=accel)
+    assert len(built) == len(front.points)

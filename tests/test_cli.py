@@ -274,6 +274,16 @@ def test_search_rejects_bad_pop(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mutation", ["5", "nan"])
+def test_search_rejects_bad_mutation_probability(capsys, mutation):
+    # at pop 2 the front fills the population, so no child is ever mutated
+    code, out, err = run(capsys, "search", "--pop", "2", "--rounds", "3",
+                         "--mutation", mutation, "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: mutation probability must be in [0, 1]")
+    assert err.count("\n") == 1
+
+
 def test_search_on_accel_fitting_no_operator_exits_2(tmp_path, capsys):
     accel = tmp_path / "tiny.json"
     accel.write_text(json.dumps({"scratchpad_kb": 0.0625, "accumulator_kb": 0.0625}))

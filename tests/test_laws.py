@@ -6,7 +6,8 @@ at least its MACs over the W x W array; a matmul or conv moves at least its
 compulsory bytes, each operand and output once. The same bounds hold for a
 sampled mapping's cost and for a fused producer/consumer schedule.
 Metamorphic laws: latency does not rise with the bandwidth, `repeat` scales
-every total, and the energy is linear in the energy table.
+every total, and the energy is linear in the energy table; a search
+candidate's EDP does not rise with the bandwidth and doubles with the table.
 """
 import math
 from dataclasses import replace
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tfperf import fusion, mapspace
+from tfperf.archsearch import Candidate, CostCache, candidate_edp
 from tfperf.hwmodel import (AcceleratorConfig, EnergyTable, InfeasibleConfigError,
                             _out_bytes, matmul_dims, op_latency)
 from tfperf.mapspace import conv_nest, matmul_nest
@@ -173,3 +175,35 @@ def test_fused_latency_roofline_bound(pair, accel):
     assume(rep.feasible)
     M, K, N = matmul_dims(pair.producer)
     assert rep.fused_latency >= M * K * N * pair.producer.repeat / accel.pe_width ** 2
+
+
+@st.composite
+def _candidates(draw):
+    n = draw(st.integers(1, 2))
+    genes = st.lists(st.integers(1, 16), min_size=n, max_size=n)  # h <= d: no config error
+    ffns = st.lists(st.integers(1, 1024), min_size=n, max_size=n)
+    return Candidate(n, draw(st.integers(16, 256)), tuple(draw(genes)), tuple(draw(ffns)))
+
+
+def _edp(c, accel):
+    try:
+        return candidate_edp(c, CostCache(accel.check()))
+    except InfeasibleConfigError:  # some operator fits no tile of the drawn capacities
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=_candidates(), accel=_accels, faster=_bandwidths)
+def test_candidate_edp_does_not_rise_with_bandwidth(c, accel, faster):
+    slow, fast = sorted((accel.dram_bw, faster))
+    assert _edp(c, replace(accel, dram_bw=fast)) <= _edp(c, replace(accel, dram_bw=slow))
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=_candidates(), accel=_accels)
+def test_candidate_edp_doubles_with_the_energy_table(c, accel):
+    # every operator's energy doubles exactly, so their sum and the EDP do too
+    e = accel.energy
+    doubled = EnergyTable(2 * e.mac_energy, 2 * e.scratchpad_access,
+                          2 * e.accumulator_access, 2 * e.dram_access)
+    assert _edp(c, replace(accel, energy=doubled)) == 2 * _edp(c, accel)
