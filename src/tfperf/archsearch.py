@@ -10,11 +10,22 @@ table. Quality uses a parameter-count proxy. Evolution
 retains the Pareto front (maximize quality, minimize EDP), kept with one
 sorted sweep, and refills the population by mutating retained members
 round-robin.
+
+A seeded search depends only on numpy's seed sequence and PCG64's raw
+64-bit stream, which NEP 19 keeps stable across numpy versions: `evolve`
+rebuilds the two `Generator` methods it uses, `random()` and `integers(k)`,
+bit for bit from the raw words (`_PCG64Words`), where numpy may change
+those methods' algorithms. A `Generator` passed as the seed ends in the
+state numpy's methods would have left; one over another bit generator is
+drawn from as it is. `sample_candidate` and `mutate` still call the
+`Generator` methods, and make the same draws.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +105,102 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def _pick(rng: np.random.Generator, vals: tuple) -> int:
+class _PCG64Words:
+    """`Generator.random()` and `Generator.integers(k)` of a PCG64
+    `Generator`, rebuilt bit for bit from its bit generator's raw 64-bit
+    words, which are read a block at a time by `random_raw`. The rules are
+    numpy's (`random/src/distributions`):
+    - `random()` is a word's top 53 bits times 2**-53;
+    - `integers(k)` is Lemire's bounded rejection (ACM TOMACS 2019) on
+      32-bit halves, as in `buffered_bounded_lemire_uint32`: a word gives
+      its low half and keeps its high half pending (PCG64's `has_uint32`
+      and `uinteger`) for the next `integers` call, across `random()`
+      calls. `integers(1)` is 0 and draws nothing.
+    `hand_back` returns the unread words of the block to the bit generator,
+    which then holds the state numpy's methods would have left.
+    """
+
+    BLOCK = 1024  # words per refill
+
+    __slots__ = ("_bg", "_start", "_words", "_doubles", "_i", "_has", "_uint")
+
+    def __init__(self, bit_generator: np.random.PCG64):
+        self._bg = bit_generator
+        state = bit_generator.state
+        self._has, self._uint = bool(state["has_uint32"]), state["uinteger"]
+        self._start: dict | None = None  # the state before the last refill
+        self._words: list = []
+        self._doubles: list = []
+        self._i = 0
+
+    def _refill(self) -> None:
+        self._start = self._bg.state
+        raw = self._bg.random_raw(self.BLOCK)
+        self._words = raw.tolist()
+        # (w >> 11) is below 2**53, so each product is exact, as in C
+        self._doubles = ((raw >> np.uint64(11)) * 2.0 ** -53).tolist()
+        self._i = 0
+
+    def random(self) -> float:
+        if self._i == len(self._doubles):
+            self._refill()
+        i = self._i
+        self._i = i + 1
+        return self._doubles[i]
+
+    def _next32(self) -> int:
+        if self._has:
+            self._has = False
+            return self._uint
+        if self._i == len(self._words):
+            self._refill()
+        word = self._words[self._i]
+        self._i += 1
+        self._has, self._uint = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if (m & 0xFFFFFFFF) < k:  # k bounds the threshold 2**32 mod k
+            threshold = (0x100000000 - k) % k
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+    def hand_back(self) -> None:
+        """Puts the bit generator where the words read so far leave it, then
+        sets its pending half (`advance` clears it)."""
+        if self._start is not None:
+            self._bg.state = self._start
+            self._bg.advance(self._i)
+        state = self._bg.state
+        state["has_uint32"], state["uinteger"] = int(self._has), self._uint
+        self._bg.state = state
+
+
+@contextmanager
+def _draws(seed) -> Iterator[np.random.Generator | _PCG64Words]:
+    """The search's draws for `seed`: raw-word draws over a PCG64
+    `Generator`, handed back on exit, or any other `Generator` as it is."""
+    rng = _rng(seed)
+    if type(rng.bit_generator) is not np.random.PCG64:
+        yield rng
+        return
+    words = _PCG64Words(rng.bit_generator)
+    try:
+        yield words
+    finally:
+        words.hand_back()
+
+
+# `_pick`, `_sample` and `_mutate` draw from a `Generator` or from
+# `_PCG64Words` alike: they call only `random()` and `integers(k)`, with
+# 1 <= k < 2**32.
+def _pick(rng: np.random.Generator | _PCG64Words, vals: tuple) -> int:
+    """A uniform pick: one `integers(len(vals))` draw, which for one value
+    draws nothing."""
     return int(vals[rng.integers(len(vals))])
 
 
@@ -109,7 +215,7 @@ def _probability(p: float) -> float:
     return p
 
 
-def _sample(space: SearchSpace, rng: np.random.Generator) -> tuple:
+def _sample(space: SearchSpace, rng: np.random.Generator | _PCG64Words) -> tuple:
     """A uniform draw from the space, as a candidate encoding."""
     n = _pick(rng, space.layer_counts)
     d = _pick(rng, space.model_dims)
@@ -122,7 +228,8 @@ def sample_candidate(space: SearchSpace, seed) -> Candidate:
     return _decode(_sample(space.check(), _rng(seed)))
 
 
-def _mutate(enc: tuple, p: float, rng: np.random.Generator, space: SearchSpace) -> tuple:
+def _mutate(enc: tuple, p: float, rng: np.random.Generator | _PCG64Words,
+            space: SearchSpace) -> tuple:
     """A child of an encoding: each gene redrawn with probability p."""
     n0 = enc[0]
     n = _pick(rng, space.layer_counts) if rng.random() < p else n0
@@ -354,7 +461,8 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
     """Pareto-retention evolution; deterministic per seed. A given `cache`
     must have been built for `accel`. The search runs on encodings, with the
     front kept as sorted (edp, -quality, encoding) rows; only the returned
-    front is built as `Candidate`s."""
+    front is built as `Candidate`s. A `Generator` given as `seed` is left,
+    on return or raise, in the state numpy's own draws would leave."""
     if pop < 2 or rounds < 1:
         raise ConfigError("need pop >= 2 and rounds >= 1")
     _probability(p)
@@ -365,24 +473,24 @@ def evolve(space: SearchSpace = DEFAULT_SPACE,
     elif cache.accel != accel:
         raise ValueError("cost cache was built for another accelerator")
     space.check()
-    rng = _rng(seed)
-    population = [_sample(space, rng) for _ in range(pop)]
     trace: list = []
     discarded: list = []
     front: list = []
-    for rnd in range(1, rounds + 1):
-        kept, edps, errors = _cost_round(population, cache)
-        discarded.extend((enc, str(exc)) for enc, exc in errors)
-        front = _sweep(front + [(e, -_quality(enc[1], enc[2 + enc[0]:]), enc)
-                                for enc, e in zip(kept, edps)])
-        if not front:  # every candidate so far was discarded: none to mutate
-            raise InfeasibleConfigError(
-                f"no candidate fits the accelerator; first discard: {discarded[0][1]}")
-        # sorted by edp, an infinite one comes last
-        if not math.isfinite(front[-1][0]) or any(map(math.isnan, edps)):
-            raise ConfigError("front contains an unevaluated candidate")
-        trace.append((rnd, front[0][0], len(front)))
-        population = [_mutate(front[i % len(front)][2], p, rng, space)
-                      for i in range(pop - len(front))]
+    with _draws(seed) as rng:
+        population = [_sample(space, rng) for _ in range(pop)]
+        for rnd in range(1, rounds + 1):
+            kept, edps, errors = _cost_round(population, cache)
+            discarded.extend((enc, str(exc)) for enc, exc in errors)
+            front = _sweep(front + [(e, -_quality(enc[1], enc[2 + enc[0]:]), enc)
+                                    for enc, e in zip(kept, edps)])
+            if not front:  # every candidate so far was discarded: none to mutate
+                raise InfeasibleConfigError(
+                    f"no candidate fits the accelerator; first discard: {discarded[0][1]}")
+            # sorted by edp, an infinite one comes last
+            if not math.isfinite(front[-1][0]) or any(map(math.isnan, edps)):
+                raise ConfigError("front contains an unevaluated candidate")
+            trace.append((rnd, front[0][0], len(front)))
+            population = [_mutate(front[i % len(front)][2], p, rng, space)
+                          for i in range(pop - len(front))]
     points = tuple(_decode(enc, -q, e) for e, q, enc in front)
     return ParetoFront(points, tuple(trace), tuple(discarded)).check()

@@ -1,4 +1,5 @@
 """Evolutionary architecture search: space, mutation, Pareto logic, evolve loop."""
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -16,8 +17,10 @@ from tfperf.archsearch import (
     CostCache,
     ParetoFront,
     SearchSpace,
+    _PCG64Words,
     _accumulate,
     _cost_round,
+    _draws,
     baseline,
     candidate_edp,
     candidate_ops,
@@ -168,6 +171,80 @@ def test_mutate_rejects_a_malformed_candidate():
     for c in (Candidate(2, 384, (4,), (768, 768)), Candidate(1, 384, (4,), (768, 768))):
         with pytest.raises(ConfigError, match="length N"):
             mutate(c, 0.2, 0)
+
+
+# ---------------------------------------------------------------------------
+# The search's draws: numpy's Generator methods rebuilt on PCG64's raw words
+# ---------------------------------------------------------------------------
+
+# 2**31 + 11 and 2**32 - 5 make Lemire's rejections common
+_KS = (1, 2, 5, 7, 20, 2 ** 31 + 11, 2 ** 32 - 5)
+
+
+class _Stop(Exception):
+    pass
+
+
+# a single call hands back a block barely read, or one never drawn
+@pytest.mark.parametrize("seed, calls", [*((s, 3000) for s in range(20)), (20, 1), (21, 1)])
+def test_raw_word_draws_match_the_generator(seed, calls):
+    plan = np.random.default_rng(1000 + seed)  # which call, and which k
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if seed % 2:  # start with a pending high half
+        assert rng.integers(7) == ref.integers(7)
+    with pytest.raises(_Stop) if seed % 3 == 0 else contextlib.nullcontext():
+        with _draws(rng) as words:
+            assert isinstance(words, _PCG64Words)
+            for _ in range(calls):
+                if plan.random() < 0.5:
+                    assert words.random() == ref.random()
+                else:
+                    k = _KS[plan.integers(len(_KS))]
+                    assert words.integers(k) == ref.integers(k), k
+            if seed % 3 == 0:  # the words are handed back on a raise too
+                raise _Stop
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for k in _KS:
+        assert rng.integers(k) == ref.integers(k)
+        assert rng.random() == ref.random()
+
+
+# PCG64's first raw words for three seeds, and the first draws of each kind
+# made from them, written out so that they hold without numpy's Generator
+_PINS = {
+    0: (["a30febcfd9c2825f", "4510bdf882d9d721", "0a7d3da94ecde8b8", "043b27b61342f01d",
+         "d0327a782cde513b", "e9aa5979a6401c4e", "9b4c7b7180edb27f", "bac0495ff8829a45"],
+        ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5",
+         "0x1.0ec9ed84d0bc0p-6", "0x1.a064f4f059bcap-1", "0x1.d354b2f34c803p-1",
+         "0x1.3698f6e301db6p-1", "0x1.758092bff1053p-1"],
+        [1826701624, 1367864814, 579362558, 87989972, 1746484548, 1960127686, 1566581943,
+         1202413564]),
+    5: (["ce14abeeabb8e5a8", "ced5352505cc99f5", "83ec603f7806adc0", "492a477ca1570476",
+         "0dce670afac210ed", "622476854726028f", "6891b332923923c4", "0b9727b5218d35ce"],
+        ["0x1.9c2957dd5771cp-1", "0x1.9daa6a4a0b993p-1", "0x1.07d8c07ef00d5p-1",
+         "0x1.24a91df2855c0p-2", "0x1.b9cce15f58420p-5", "0x1.8891da151c980p-2",
+         "0x1.a246ccca48e48p-2", "0x1.72e4f6a431a60p-5"],
+        [1728730623, 48647418, 1353417281, 115815301, 596836682, 823278406, 97227738,
+         319577161]),
+    2 ** 70 + 3: (["6b9e7d80244da682", "492f04c2452ccfdd", "1b34b70f0a2ac141",
+                   "4c034a6c80a14ccc", "611105d7402995dd", "dac4140fa4952397",
+                   "5f6dd51c96ff7a6a", "c2679a98596c5d88"],
+                  ["0x1.ae79f60091368p-2", "0x1.24bc130914b32p-2", "0x1.b34b70f0a2ac0p-4",
+                   "0x1.300d29b202852p-2", "0x1.8444175d00a64p-2", "0x1.b588281f492a4p-1",
+                   "0x1.7db754725bfdep-2", "0x1.84cf3530b2d8bp-1"],
+                  [304534338, 902774468, 85287072, 228219784, 1079027307, 814252783,
+                   1380618706, 1835141648]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINS))
+def test_raw_word_draws_are_pinned(seed):
+    raw, doubles, ints = _PINS[seed]
+    assert [f"{w:016x}" for w in np.random.PCG64(seed).random_raw(8).tolist()] == raw
+    with _draws(seed) as words:
+        assert [words.random().hex() for _ in range(8)] == doubles
+    with _draws(seed) as words:
+        assert [words.integers(2 ** 31 + 11) for _ in range(8)] == ints
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +643,21 @@ _TINY = SearchSpace(layer_counts=(1, 2), heads_per_layer=(2, 4), model_dims=(64,
 _HEADS = SearchSpace(layer_counts=(1, 2), heads_per_layer=(1, 2, 16), model_dims=(64, 96),
                      ffn_dims_per_layer=(128, 256))
 _FAINT = EnergyTable(0.0, 1e-200, 0.0, 2e-200)
+# single-valued genes: numpy's integers(1) is 0 and draws nothing
+_ONE_N = SearchSpace(layer_counts=(3,))
+_ONE_D = SearchSpace(model_dims=(480,))
+_ONE_N_D = SearchSpace(layer_counts=(4,), model_dims=(576,))
+
+
+def _pcg64(seed, pending=False):
+    """A function making a fresh PCG64 Generator, with a pending high half
+    if asked (one `integers` call leaves one)."""
+    def make():
+        rng = np.random.default_rng(seed)
+        if pending:
+            rng.integers(7)
+        return rng
+    return make
 
 
 def _outcome(search, **kw):
@@ -595,13 +687,29 @@ _FRONT, _DISCARDS = "front", "front and discards"
       for seed in (0, 3)),
     (dict(pop=6, rounds=3, seed=6, accel=AcceleratorConfig(accumulator_bytes=1024)),
      "InfeasibleConfigError"),
+    (dict(pop=30, rounds=8, seed=13, space=_ONE_N), _FRONT),
+    (dict(pop=30, rounds=8, p=0.5, seed=14, space=_ONE_D), _FRONT),
+    (dict(pop=30, rounds=8, seed=15, space=_ONE_N_D), _FRONT),
+    (dict(pop=40, rounds=8, seed=_pcg64(16)), _FRONT),
+    (dict(pop=40, rounds=8, seed=_pcg64(17, pending=True)), _FRONT),
+    (dict(pop=20, rounds=6, seed=_pcg64(18, pending=True), space=_ONE_N), _FRONT),
+    (dict(pop=6, rounds=3, seed=_pcg64(6, pending=True),
+          accel=AcceleratorConfig(accumulator_bytes=1024)), "InfeasibleConfigError"),
+    (dict(pop=40, rounds=8, seed=lambda: np.random.Generator(np.random.MT19937(19))), _FRONT),
 ], ids=["pop2", "pop200", "p1-tuned", "p0", "seed10", "seed11", "seed12", "tiny-space",
         "tiny-space-p1", "discards-some", "infinite-edp-last", "infinite-edp-dropped",
-        "discards-all"])
+        "discards-all", "one-layer-count", "one-model-dim", "one-layer-count-and-dim",
+        "pcg64-generator", "pcg64-generator-pending", "pcg64-generator-pending-one-layer-count",
+        "pcg64-generator-discards-all", "mt19937-generator"])
 def test_evolve_matches_the_candidate_search(kw, ends):
-    # encodings, quality and EDP bits, trace and discards, or the same error
-    want = _outcome(_reference_evolve, **kw)
-    assert _outcome(evolve, **kw) == want
+    # encodings, quality and EDP bits, trace and discards, or the same error;
+    # a seed given as a function makes each search a fresh Generator, which
+    # both searches must leave in the same state
+    seeds = [kw["seed"]() if callable(kw["seed"]) else kw["seed"] for _ in range(2)]
+    want = _outcome(_reference_evolve, **{**kw, "seed": seeds[0]})
+    assert _outcome(evolve, **{**kw, "seed": seeds[1]}) == want
+    if callable(kw["seed"]):
+        np.testing.assert_equal(seeds[1].bit_generator.state, seeds[0].bit_generator.state)
     if isinstance(want, dict):
         assert want["points"] and bool(want["discarded"]) == (ends == _DISCARDS)
     else:

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tfperf import cli, hwmodel, mapspace
+from tfperf.archsearch import space_from_json
 from tfperf.cli import COMMANDS, build_parser, main
 from tfperf.hwmodel import _shape_key, accel_preset
 from tfperf.workload import model_ops, model_preset, resnet50_ops
 
 from conftest import DECODER3, strict_json
+from test_archsearch import _reference_evolve
 
 
 def run(capsys, *argv):
@@ -407,6 +409,25 @@ def test_space_file_ingestion(tmp_path, capsys):
     doc = json.loads(out)
     assert all(c["N"] == 3 and c["d"] == 384 for c in doc["rows"])
     assert len(doc["rows"]) == 1  # one-point space collapses to one candidate
+
+
+def test_search_on_single_valued_genes_matches_the_candidate_search(tmp_path, capsys):
+    # a one-value gene is drawn from integers(1), which numpy answers without
+    # drawing, so the draws of every other gene must not shift
+    doc = {"layer_counts": [3], "model_dims": [480], "heads_per_layer": [4, 8],
+           "ffn_dims_per_layer": [768, 1024, 2048]}
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "search", "--space", str(space), "--pop", "24",
+                       "--rounds", "6", "--seed", "3", "--format", "json")
+    assert code == 0
+    want = _reference_evolve(space_from_json(doc), accel_preset("gemmini-baseline"),
+                             pop=24, rounds=6, seed=3)
+    got = json.loads(out)
+    assert [(c["N"], c["d"], tuple(c["h"]), tuple(c["d_FFN"]), c["quality"], c["edp"])
+            for c in got["rows"]] == [(c.N, c.d, c.h, c.d_FFN, c.quality, c.edp)
+                                      for c in want.points]
+    assert [tuple(r.values()) for r in got["trace"]] == list(want.trace)
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -5,6 +5,7 @@ takes at least its DRAM bytes over the DRAM bandwidth, and a matmul or conv
 at least its MACs over the W x W array; a matmul or conv moves at least its
 compulsory bytes, each operand and output once. The same bounds hold for a
 sampled mapping's cost and for a fused producer/consumer schedule.
+Each encoder layer of a search candidate obeys the two roofline bounds too.
 Metamorphic laws: latency does not rise with the bandwidth, `repeat` scales
 every total, and the energy is linear in the energy table; a search
 candidate's EDP does not rise with the bandwidth and doubles with the table.
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tfperf import fusion, mapspace
-from tfperf.archsearch import Candidate, CostCache, candidate_edp
-from tfperf.hwmodel import (AcceleratorConfig, EnergyTable, InfeasibleConfigError,
+from tfperf.archsearch import Candidate, CostCache, candidate_edp, candidate_ops
+from tfperf.hwmodel import (_ACCUM_BYTES, AcceleratorConfig, EnergyTable, InfeasibleConfigError,
                             _out_bytes, matmul_dims, op_latency)
 from tfperf.mapspace import conv_nest, matmul_nest
 from tfperf.workload import (Conv, Elementwise, Matmul, MatvecSeries, OperatorClass,
@@ -207,3 +208,39 @@ def test_candidate_edp_doubles_with_the_energy_table(c, accel):
     doubled = EnergyTable(2 * e.mac_energy, 2 * e.scratchpad_access,
                           2 * e.accumulator_access, 2 * e.dram_access)
     assert _edp(c, replace(accel, energy=doubled)) == 2 * _edp(c, accel)
+
+
+def _layer_floors(ops) -> tuple[int, int]:
+    """An encoder layer's compulsory DRAM bytes and MACs: each matmul operand
+    and output, and each elementwise input and output, moved once; a wide
+    input is read at accumulator width."""
+    nbytes = macs = 0
+    for op in ops:
+        k = op.kind
+        if isinstance(k, Matmul):
+            in1_b, in2_b = _in_bytes(op)
+            nbytes += (k.M * k.K * in1_b + k.K * k.N * in2_b
+                       + k.M * k.N * _out_bytes(op)) * op.repeat
+            macs += k.M * k.K * k.N * op.repeat
+        else:
+            in_b = _ACCUM_BYTES if op.wide_inputs else op.in_precisions[0]
+            nbytes += k.elements * (in_b + op.out_precision) * op.repeat
+    return nbytes, macs
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=_candidates(), accel=_accels)
+def test_candidate_layer_roofline_bounds(c, accel):
+    cache = CostCache(accel.check())
+    try:
+        candidate_edp(c, cache)
+    except InfeasibleConfigError:  # some operator fits no tile of the drawn capacities
+        assume(False)
+    ops = candidate_ops(c)
+    W = accel.pe_width
+    for i in range(c.N):
+        # the layer's 12 operator latencies, added up with one rounding
+        latency = math.fsum(cache.costs[0, cache.layers[c.d, c.h[i], c.d_FFN[i]]])
+        nbytes, macs = _layer_floors([op for op in ops if op.name.startswith(f"L{i}.")])
+        assert latency >= nbytes / accel.dram_bw * (1 - 1e-12)
+        assert latency >= macs / (W * W)
