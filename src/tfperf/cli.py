@@ -4,7 +4,8 @@ Reports carry a schema_version and a generated_by echo. CSV output is plain
 comma separation with '.' decimals; JSON is strict (no NaN or Infinity),
 keeps insertion key order and round-trips losslessly. An infeasible memsweep
 split or fusion cell has no latency: None, written as null or an empty cell.
-Exit codes: 0 ok, 2 bad config or a number JSON cannot hold, 3 I/O failure.
+Exit codes: 0 ok, 2 bad config, a number JSON cannot hold or a request too
+large for memory (such as a --samples count no array can hold), 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -341,6 +342,9 @@ def main(argv=None) -> int:
             emit(header, {**extra, "rows": table}, args.format, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -281,6 +281,11 @@ def _order_classes(ndims: int) -> tuple[np.ndarray, np.ndarray]:
     return code, rep
 
 
+def _index_dtype(size: int) -> type:
+    """The dtype of indices below `size`: int32 while `size` is below 2**31."""
+    return np.int32 if size < 2 ** 31 else np.int64
+
+
 class _Space:
     """Every tile vector of one nest at one PE width, numbered.
 
@@ -318,30 +323,36 @@ class _Space:
 
         Per dim, a spatial dim first draws its factor's index; then the tile
         choices are drawn per factor in ascending order and scattered to
-        their rows in row order. The perms come last."""
+        their rows in row order. The perms come last. Every column is drawn
+        by `Generator.integers` at int32: below 2**32 numpy runs the same
+        bounded 32-bit rule at int32 as at int64, so the values and the
+        generator's state are those of the int64 draw, which
+        `test_int32_draws_match_int64_draws` pins. The tile-vector index is
+        int32, or int64 for a space of 2**31 tile vectors or more."""
         sdims = self.nest.spatial_dims
         for d, name in enumerate(self.nest.names):
             groups = self.groups[d]
             if name not in sdims:  # spatial factor 1: one tile choice set
-                combo = rng.integers(0, groups[0][1], size=n)
+                combo = rng.integers(0, groups[0][1], size=n, dtype=np.int32)
             else:
-                j = rng.integers(0, len(groups), size=n)
-                drawn = np.empty(n, dtype=np.int64)
+                j = rng.integers(0, len(groups), size=n, dtype=np.int32)
+                drawn = np.empty(n, dtype=np.int32)
                 start = 0
                 for (first, k), c in zip(groups, np.bincount(j, minlength=len(groups)).tolist()):
                     if c:
-                        np.add(rng.integers(0, k, size=c), first, out=drawn[start:start + c])
+                        np.add(rng.integers(0, k, size=c, dtype=np.int32), first,
+                               out=drawn[start:start + c])
                         start += c
                 # a narrow key lets the stable sort use radix sort; the order is the same
-                combo = np.empty(n, dtype=np.int64)
+                combo = np.empty(n, dtype=np.int32)
                 combo[np.argsort(j.astype(np.min_scalar_type(len(groups) - 1)),
                                  kind="stable")] = drawn
             if d:  # mixed radix, dim 0 most significant
                 t *= self.sizes[d]
                 t += combo
             else:
-                t = combo
-        return t, rng.integers(0, math.factorial(len(self.sizes)), size=n)
+                t = combo.astype(_index_dtype(self.size), copy=False)
+        return t, rng.integers(0, math.factorial(len(self.sizes)), size=n, dtype=np.int32)
 
     def batch(self, t: np.ndarray, perm_idx: np.ndarray) -> _Batch:
         """The mappings (t[i], perm_idx[i]) as kernel columns."""
@@ -417,6 +428,20 @@ def _class_batch(space: _Space, keys: np.ndarray) -> _Batch:
     return space.batch(t, rep[space.iter_mask[t], c])
 
 
+_BLOCK = 2 ** 14  # kernel rows per call: the kernels' temporaries stay cache-sized
+
+
+def _class_costs(space: _Space, keys: np.ndarray, accel: AcceleratorConfig) -> np.ndarray:
+    """(lat, en, dram, compute) rows, shape (4, len(keys)), of the class
+    representatives of `keys`, costed `_BLOCK` keys at a time. The kernels
+    work element by element, so each block's values are those of one call
+    over every key."""
+    out = np.empty((4, len(keys)))
+    for lo in range(0, len(keys), _BLOCK):
+        out[:, lo:lo + _BLOCK] = _eval_batch(_class_batch(space, keys[lo:lo + _BLOCK]), accel)
+    return out
+
+
 def _draw_valid(space: _Space, valid: np.ndarray, n: int, rng: np.random.Generator):
     """(t, perm_idx) of n valid mappings: each rejection round draws
     `max(need * 2, 1024)` mappings and keeps the first `need` valid ones."""
@@ -449,14 +474,14 @@ def sample_costs(nest: LoopNest, accel: AcceleratorConfig, n: int, seed: int):
     t, p = _draw_valid(space, _valid_mask(space, accel), n, np.random.default_rng(seed))
     code, rep = _order_classes(len(nest.names))
     nclass = rep.shape[1]
-    keys = t * nclass + code[space.iter_mask[t], p]
+    keys = t.astype(np.int64) * nclass + code[space.iter_mask[t], p]
     # distinct keys in ascending order, and each row's rank among them
     seen = np.zeros(space.size * nclass, dtype=bool)
     seen[keys] = True
     distinct = np.flatnonzero(seen)
     rank = np.empty(len(seen), dtype=np.intp)
     rank[distinct] = np.arange(len(distinct))
-    lat, en = _eval_batch(_class_batch(space, distinct), accel)[:2]
+    lat, en = _class_costs(space, distinct, accel)[:2]
     bad = np.flatnonzero(~np.isfinite(lat * en))
     if len(bad):  # an EDP that is not finite is refused, as `_report` refuses a cost
         raise _not_finite(float(lat[bad[0]]), float(en[bad[0]]))
@@ -489,9 +514,11 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig):
     minimum-EDP one, ties broken lexicographically on the mapping encoding.
 
     Each (valid tile vector, reachable loop-order class) is costed once; only
-    the classes at the minimum EDP are expanded back to their DRAM perms. A
-    nest whose tile vectors times classes, the most rows this can cost,
-    exceed `_EXHAUSTIVE_GUARD` is refused before any of them is built."""
+    the classes at the minimum EDP are expanded back to their DRAM perms.
+    The rows are costed `_BLOCK` at a time, so the kernels' temporaries are
+    one block's, whatever the nest. A nest whose tile vectors times classes,
+    the most rows this can cost, exceed `_EXHAUSTIVE_GUARD` is refused
+    before any of them is built."""
     code, rep = _order_classes(len(nest.names))
     nclass = rep.shape[1]
     vectors = _tile_vectors(nest, accel.pe_width)
@@ -505,7 +532,7 @@ def exhaustive_best(nest: LoopNest, accel: AcceleratorConfig):
         raise InfeasibleConfigError("no valid mapping in the exhaustive space")
     row, c = np.nonzero(rep[space.iter_mask[t]] >= 0)
     t = t[row]  # one row per (valid tile vector, reachable class)
-    rows = _eval_batch(_class_batch(space, t * nclass + c), accel)
+    rows = _class_costs(space, t * nclass + c, accel)
     edp = rows[0] * rows[1]
     tied = np.flatnonzero(edp == edp.min())
     # expand the tied classes to their perms; the least encoding wins, with

@@ -97,6 +97,27 @@ def test_unknown_mapsearch_op_exits_2(capsys):
     assert "bert.nope" in err
 
 
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                "and data type int64"),
+    MemoryError(),
+], ids=["numpy-message", "bare"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_of_memory_exits_2(capsys, monkeypatch, exc, fmt):
+    """A --samples count no array can hold ends in one error line, not a
+    traceback. The sampler is made to raise, as numpy's allocation would:
+    on a host that overcommits memory a real draw would try to fill it."""
+    def sample_costs(*args):
+        raise exc
+
+    monkeypatch.setattr(mapspace, "sample_costs", sample_costs)
+    code, out, err = run(capsys, "mapsearch", "--op", "bert.qk",
+                         "--samples", "100000000000", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert str(exc) in err
+
+
 def test_unwritable_out_exits_3(capsys):
     code, _, err = run(capsys, "analyze", "--out", "/nonexistent/dir/x.csv")
     assert code == 3

@@ -13,13 +13,17 @@ from hypothesis import given, settings, strategies as st
 
 from tfperf.workload import Conv, Matmul, OperatorClass, OperatorSpec, resnet50_ops
 from tfperf.hwmodel import AcceleratorConfig, InfeasibleConfigError, accel_preset
+from tfperf import _kernels
 from tfperf.mapspace import (
+    _BLOCK,
     _Batch,
     _Space,
     _class_batch,
+    _class_costs,
     _divisors,
     _draw_valid,
     _eval_batch,
+    _index_dtype,
     _order_classes,
     _perm_table,
     _tile_choices,
@@ -346,6 +350,39 @@ def test_sample_batch_matches_unique_mask_reference(nest, pe_width, n, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345, 2 ** 32 - 1, 2 ** 70 + 3])
+def test_int32_draws_match_int64_draws(seed):
+    """`_Space.draw` draws its columns at int32. That keeps every sampled
+    byte only while numpy runs the same bounded 32-bit rule at int32 as at
+    int64: the same values, and the generator left in the same state. Each
+    call starts where the last one left off, so some start with PCG64's
+    pending high half. If a numpy release splits the two paths, this fails
+    before a sampled digit moves."""
+    g32, g64 = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in (1, 2, 5, 7, 40, 720, 2 ** 31 - 1):
+        for size in (0, 1, 7, 1001):
+            got = g32.integers(0, k, size, dtype=np.int32)
+            want = g64.integers(0, k, size)
+            assert (got.dtype, want.dtype) == (np.int32, np.int64)
+            assert np.array_equal(got, want), (k, size)
+            assert g32.bit_generator.state == g64.bit_generator.state, (k, size)
+
+
+def test_tile_vector_index_dtype():
+    """Tile-vector indices are int32 below 2**31 tile vectors, else int64."""
+    assert _index_dtype(2 ** 31 - 1) is np.int32
+    assert _index_dtype(2 ** 31) is np.int64
+    space = _Space(NAMED_NESTS["bert.mha"], 16)
+    t, p = space.draw(5000, np.random.default_rng(3))
+    assert (t.dtype, p.dtype) == (np.int32, np.int32)
+    # the draw reads `size` only for the index dtype, so a small space
+    # stands in for one of 2**31 tile vectors without allocating it
+    space.size = 2 ** 31
+    t64, p64 = space.draw(5000, np.random.default_rng(3))
+    assert (t64.dtype, p64.dtype) == (np.int64, np.int32)
+    assert np.array_equal(t64, t) and np.array_equal(p64, p)
+
+
 def _sample_batch(nest, accel, n, rng) -> _Batch:
     """The mapping draw that held tile sizes per row: n candidate mappings
     drawn uniformly (not yet validity-filtered)."""
@@ -492,6 +529,37 @@ def test_every_order_costs_what_its_class_representative_costs(W):
             keys = t * rep.shape[1] + code[space.iter_mask[t], p]
             for got, want in zip(_eval_batch(_class_batch(space, keys), accel), every):
                 assert got.tobytes() == want.tobytes(), nest
+
+
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("accel", [
+    AcceleratorConfig(pe_width=16),
+    AcceleratorConfig(pe_width=16, scratchpad_bytes=16, accumulator_bytes=16, dram_bw=0.25),
+], ids=["w16", "w16-starved"])
+@pytest.mark.parametrize("name", ["bert.mha", "resnet.c3"])
+def test_class_costs_in_blocks_match_one_kernel_call(monkeypatch, name, accel, count):
+    """Costing `_BLOCK` keys per kernel call gives every row the bits of one
+    call over all of them, in all four columns, across block boundaries."""
+    space = _Space(NAMED_NESTS[name], accel.pe_width)
+    _, rep = _order_classes(len(space.sizes))
+    t, c = np.nonzero(rep[space.iter_mask] >= 0)  # every reachable class key
+    keys = np.sort(np.random.default_rng(count).choice(
+        t * rep.shape[1] + c, count, replace=False))
+    want = _eval_batch(_class_batch(space, keys), accel)
+    rows = []
+    kernel = "conv_eval" if space.nest.is_conv else "matmul_eval"
+    inner = getattr(_kernels, kernel)
+
+    def counted(P, *args):
+        rows.append(P.shape[1])
+        return inner(P, *args)
+
+    monkeypatch.setattr(_kernels, kernel, counted)
+    got = _class_costs(space, keys, accel)
+    assert got.shape == (4, count) and got.dtype == np.float64
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert rows == [_BLOCK] * (count // _BLOCK) + [count % _BLOCK] * (count % _BLOCK > 0)
 
 
 def test_perm_table_is_shared_and_read_only():
