@@ -17,7 +17,8 @@ the same on every tile vector with the same iterating loops, which is what
 lets `mapspace` cost one order per class.
 
 The kernels read the accumulator width and the compute/DRAM overlap rule from
-`hwmodel` (`_ACCUM_BYTES`, `_overlap`), as its tile walk does.
+`hwmodel`: `_ACCUM_BYTES`, and `_overlap`, the rule's array spelling. The tile
+walk and the scalar costs spell it `max(compute, dram / dram_bw)` on floats.
 
 Loop counts (F = P // T) and their flags are taken one dim row at a time. With
 one (ndims, n) temporary in their place, perfbench's mapspace-sample run at

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .hwmodel import (_ACCUM_BYTES, _STANDALONE_PASSES, AcceleratorConfig, TilingPlan,
-                      _overlap, _tile_cells, greedy_tiles, op_latency)
+                      _tile_cells, greedy_tiles, op_latency)
 from .mapspace import _divisors
 from .workload import (Elementwise, Matmul, OperatorSpec, _in_bytes, layer_ops_encoder,
                        model_preset)
@@ -129,7 +129,7 @@ def _consumer_block_cycles(consumer: OperatorSpec, elements: int,
     """Vector work for `elements` finished outputs read from the accumulator:
     no DRAM loads, only the store at the consumer's output width."""
     comp = _STANDALONE_PASSES * math.ceil(elements / accel.pe_width) * accel.sfu_vector_latency
-    return float(_overlap(comp, elements * consumer.out_precision, accel.dram_bw))
+    return float(max(comp, elements * consumer.out_precision / accel.dram_bw))
 
 
 def eval_pair(pair: FusionPair, accel: AcceleratorConfig) -> FusionReport:
@@ -148,14 +148,12 @@ def eval_pair(pair: FusionPair, accel: AcceleratorConfig) -> FusionReport:
     # one tile spans the full axis, so the walk is one row of k tiles per
     # block; only the first block loads the shared operand if it is resident.
     # The consumer reads the outputs from the accumulator, so a tile overlaps
-    # only its loaded bytes. fsum rounds each row's sum once, as f_k * tile
-    # would: over the first block's k cells and the last block's, each
-    # repeated by its run count.
-    (m_runs, n_runs, k_runs), compute, loaded, _ = _tile_cells(pair.producer, plan, accel)
-    lat = [float(_overlap(c, b, accel.dram_bw)) for c, b in zip(compute, loaded)]
-    rows = [lat[i:i + len(k_runs)] for i in (0, len(lat) - len(k_runs))]
-    b_first, b_rest = (math.fsum(v for v, count in zip(row, k_runs) for _ in range(count))
-                       for row in rows)
+    # only its loaded bytes. fsum rounds the sum of each row, the first
+    # block's k cells and the last block's, once, as f_k * tile would.
+    (m_runs, n_runs, k_runs), cells = _tile_cells(pair.producer, plan, accel)
+    b_first, b_rest = (math.fsum(v for (_, c, b, _), count in zip(row, k_runs)
+                                 for v in [max(c, b / accel.dram_bw)] * count)
+                       for row in (cells[:len(k_runs)], cells[-len(k_runs):]))
     n_blocks = sum(m_runs) * sum(n_runs)
     cons = _consumer_block_cycles(pair.consumer, plan.tile_m * plan.tile_n, accel)
 

@@ -20,11 +20,12 @@ Execution model:
 
 The walk is costed by runs of equal tiles: each axis has at most three
 (first block, full blocks between, last block), and one tile per (m, n, k)
-run cell, at most 27, stands for every tile of its cell. Compute, DRAM and
-drained totals are exact integer sums over the cells weighted by their tile
-counts. Only the latency total is summed over the full (m, n, k) grid,
-expanded from the cells, because the outputs pin numpy's pairwise order of
-that sum.
+run cell, at most 27, stands for every tile of its cell. The cells are costed
+on Python numbers: compute, DRAM and drained totals are exact integer sums
+over the cells weighted by their tile counts. numpy is left only for the
+latency total, summed over the full (m, n, k) grid repeated from the cells
+because the outputs pin numpy's pairwise order of that sum, and for the
+step arrays of a matrix-vector series.
 """
 from __future__ import annotations
 
@@ -161,6 +162,13 @@ class TilingPlan:
     tile_k: int
     tile_n: int
 
+    def check(self) -> "TilingPlan":
+        """Tiles are positive ints; one longer than its extent is one block."""
+        if not (type(self.tile_m) is type(self.tile_k) is type(self.tile_n) is int
+                and min(self.tile_m, self.tile_k, self.tile_n) > 0):
+            raise InfeasibleConfigError(f"tile sizes must be positive integers, got {self}")
+        return self
+
 
 @dataclass(frozen=True)
 class CostReport:
@@ -205,7 +213,7 @@ def _out_bytes(op: OperatorSpec) -> int:
 def _square_steps(cx: int, cy: int, nbytes: int, limit: int, W: int) -> int | float:
     """The largest a with min(a*W, cx) * min(a*W, cy) * nbytes <= limit, for
     caps cx, cy that are multiples of W (inf if every a fits)."""
-    lo, hi = sorted((cx, cy))
+    lo, hi = (cx, cy) if cx <= cy else (cy, cx)
     if lo * hi * nbytes <= limit:  # both caps fit
         return math.inf
     if lo * lo * nbytes <= limit:  # a*W lies between the caps
@@ -213,57 +221,54 @@ def _square_steps(cx: int, cy: int, nbytes: int, limit: int, W: int) -> int | fl
     return math.isqrt(limit // nbytes) // W  # a*W lies below both caps
 
 
-def _grow_tiles(op: OperatorSpec, accel: AcceleratorConfig, axes: tuple[int, ...]) -> TilingPlan:
-    """The largest square tile: a*W on every axis (0 m, 1 k, 2 n), each capped
-    at its extent padded to W, for the largest a that fits. Then each of
-    `axes` in turn grows by multiples of W, to its cap or the most that fits.
-
-    The fit rules are the three operand blocks (axis pair, bytes per
-    element, capacity): in1 on (m, k) and in2 on (k, n) in a scratchpad half,
-    the output on (m, n) in an accumulator half.
-    """
+def _grow_tiles(op: OperatorSpec, accel: AcceleratorConfig, greedy: bool) -> TilingPlan:
+    """The largest square tile: a*W on every axis, each capped at its extent
+    padded to W, for the largest a that fits. A greedy plan then grows k, m
+    and n in turn by multiples of W, to its cap or the most that fits. The fit
+    rules are the operand blocks: in1 on (m, k) and in2 on (k, n) in a
+    scratchpad half, the output on (m, n) in an accumulator half."""
     W = accel.pe_width
-    in1_b, in2_b = _in_bytes(op)
+    (in1_b, in2_b), out_b = _in_bytes(op), _out_bytes(op)
     half, acc_half = accel.scratchpad_bytes // 2, accel.accumulator_bytes // 2
-    rules = (((0, 1), in1_b, half), ((1, 2), in2_b, half), ((0, 2), _out_bytes(op), acc_half))
-    caps = [_pad(x, W) for x in matmul_dims(op)]
-    a = min(max(caps) // W,
-            *(_square_steps(caps[x], caps[y], nbytes, limit, W)
-              for (x, y), nbytes, limit in rules))
+    M, K, N = matmul_dims(op)
+    cm, ck, cn = _pad(M, W), _pad(K, W), _pad(N, W)
+    a = min(max(cm, ck, cn) // W, _square_steps(cm, ck, in1_b, half, W),
+            _square_steps(ck, cn, in2_b, half, W), _square_steps(cm, cn, out_b, acc_half, W))
     if a < 1:
         raise InfeasibleConfigError(
             f"no {W}x{W} tile fits scratchpad/accumulator for {op.name}")
-    tile = [min(a * W, cap) for cap in caps]
-    for axis in axes:  # the most W-multiples each rule on the axis leaves room for
-        tile[axis] = min(caps[axis], *(limit // (tile[sum(pair) - axis] * nbytes) // W * W
-                                       for pair, nbytes, limit in rules if axis in pair))
-    return TilingPlan(*tile)
+    tm, tk, tn = min(a * W, cm), min(a * W, ck), min(a * W, cn)
+    if greedy:  # the most W-multiples each rule on the axis leaves room for
+        tk = min(ck, half // (tm * in1_b) // W * W, half // (tn * in2_b) // W * W)
+        tm = min(cm, half // (tk * in1_b) // W * W, acc_half // (tn * out_b) // W * W)
+        tn = min(cn, half // (tk * in2_b) // W * W, acc_half // (tm * out_b) // W * W)
+    return TilingPlan(tm, tk, tn)
 
 
 def square_tiles(op: OperatorSpec, accel: AcceleratorConfig) -> TilingPlan:
     """The largest square tile, grown on all three axes together."""
-    return _grow_tiles(op, accel, ())
+    return _grow_tiles(op, accel, False)
 
 
 def greedy_tiles(op: OperatorSpec, accel: AcceleratorConfig) -> TilingPlan:
     """Gemmini-style heuristic: square tiles, then greedily extend K, M, N."""
-    return _grow_tiles(op, accel, (1, 0, 2))
+    return _grow_tiles(op, accel, True)
 
 
 # ---------------------------------------------------------------------------
 # Matmul / conv tile walk
 # ---------------------------------------------------------------------------
 
-def _runs(total: int, tile: int) -> tuple[tuple[int, int], ...]:
-    """(block size, block count) of each run of equal blocks along one axis:
-    the first block, the full blocks between, and the last (ragged) block."""
+def _runs(total: int, tile: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The block sizes and block counts of the runs of equal blocks along one
+    axis: the first block, the full blocks between, and the last (ragged) block."""
     n = -(-total // tile)
-    last = total - (n - 1) * tile
     if n == 1:
-        return ((total, 1),)
+        return (total,), (1,)
+    last = total - (n - 1) * tile
     if n == 2:
-        return ((tile, 1), (last, 1))
-    return ((tile, 1), (tile, n - 2), (last, 1))
+        return (tile, last), (1, 1)
+    return (tile, tile, last), (1, n - 2, 1)
 
 
 def _resident(op: OperatorSpec, accel: AcceleratorConfig) -> tuple[bool, bool]:
@@ -276,7 +281,7 @@ def _resident(op: OperatorSpec, accel: AcceleratorConfig) -> tuple[bool, bool]:
 
 
 def _overlap(compute, dram_bytes, dram_bw):
-    """Double-buffered cycles: compute or DRAM transfer, whichever is longer."""
+    """Double-buffered cycles of step arrays: compute or DRAM, whichever is longer."""
     return np.maximum(compute, dram_bytes / dram_bw)
 
 
@@ -288,65 +293,61 @@ def _tile_cells(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     and whether its k block is the last (the drain), so one tile per
     (m, n, k) run cell, at most 27, stands for every tile of the cell.
 
-    Returns the run counts of m, n and k, and the cells' compute cycles,
-    loaded input bytes and drained output bytes for one repeat, as flat
-    C-ordered lists over (m run, n run, k run) of Python ints. An output
-    block drains once, after its last k tile, so only the last k run drains.
+    Returns the block counts of the m, n and k runs, and per cell, C-ordered
+    over (m run, n run, k run), a tuple of Python ints: its tile count and one
+    tile's compute cycles, loaded bytes and drained bytes. Only the last k run
+    drains: an output block drains once, after its last k tile.
     """
     M, K, N = matmul_dims(op)
     W = accel.pe_width
-    in1_b, in2_b = _in_bytes(op)
+    (in1_b, in2_b), out_b = _in_bytes(op), _out_bytes(op)
     in1_resident, in2_resident = _resident(op, accel)
-    out_b = _out_bytes(op)
-    ms, ns, ks = _runs(M, plan.tile_m), _runs(N, plan.tile_n), _runs(K, plan.tile_k)
-    no_drain = [0] * (len(ks) - 1)
-    compute, loaded, drained = [], [], []
-    for i, (tm, _) in enumerate(ms):
-        for j, (tn, _) in enumerate(ns):
+    (m_sizes, m_counts), (n_sizes, n_counts) = _runs(M, plan.tile_m), _runs(N, plan.tile_n)
+    k_sizes, k_counts = _runs(K, plan.tile_k)
+    *k_runs, (tk_last, ck_last) = zip(k_sizes, k_counts)
+    cells = []
+    for i, (tm, cm) in enumerate(zip(m_sizes, m_counts)):
+        for j, (tn, cn) in enumerate(zip(n_sizes, n_counts)):
             passes = -(-tm // W) * -(-tn // W)
             # per k element; a resident input loads only while the first
             # block of the other output axis is computed
             per_k = ((0 if in1_resident and j else tm * in1_b)
                      + (0 if in2_resident and i else tn * in2_b))
-            for tk, _ in ks:
-                compute.append(tk * passes + W)
-                loaded.append(tk * per_k)
-            drained += no_drain
-            drained.append(tm * tn * out_b)
-    counts = tuple(tuple(c for _, c in runs) for runs in (ms, ns, ks))
-    return counts, compute, loaded, drained
-
-
-def _expand(cells, counts) -> np.ndarray:
-    """The full C-ordered (m, n, k) grid of per-cell values, each repeated
-    by its run counts. The axis with the most blocks expands last, so the
-    grid before it is at most a quarter of the full one once that axis has
-    12 blocks or more."""
-    grid = np.asarray(cells).reshape(tuple(map(len, counts)))
-    for axis in sorted(range(3), key=lambda a: sum(counts[a])):
-        if max(counts[axis]) > 1:
-            grid = np.repeat(grid, counts[axis], axis=axis)
-    return grid
+            for tk, ck in k_runs:
+                cells.append((cm * cn * ck, tk * passes + W, tk * per_k, 0))
+            cells.append((cm * cn * ck_last, tk_last * passes + W, tk_last * per_k,
+                          tm * tn * out_b))
+    return (m_counts, n_counts, k_counts), cells
 
 
 def _tiled_cost(op: OperatorSpec, plan: TilingPlan, accel: AcceleratorConfig):
     """The tile walk summed: one repeat's (latency, compute, dram, drained, macs).
 
-    The compute, DRAM and drained totals are exact integer sums over the run
-    cells, weighted by each cell's tile count. The latency is summed over
-    the full grid with numpy's `.sum()`, whose pairwise order the outputs pin.
+    One pass over the run cells adds the exact integer totals, each cell
+    weighted by its tile count. The latency is summed over the full grid with
+    numpy's `.sum()`, whose pairwise order the outputs pin. The axis with the
+    most blocks is repeated last, so the grid before it is at most a quarter
+    of the full one once that axis has 12 blocks or more.
     """
-    counts, compute, loaded, drained = _tile_cells(op, plan, accel)
-    dram = list(map(operator.add, loaded, drained))
-    weights = [cm * cn * ck for cm in counts[0] for cn in counts[1] for ck in counts[2]]
-    latency = _expand(_overlap(np.array(compute, dtype=np.float64),
-                               np.array(dram, dtype=np.float64), accel.dram_bw), counts)
+    counts, cells = _tile_cells(op, plan, accel)
+    bw = accel.dram_bw
+    compute = dram = drained = 0
+    latency = []
+    for tiles, c, loaded, d in cells:
+        b = loaded + d
+        compute += tiles * c
+        dram += tiles * b
+        drained += tiles * d
+        latency.append(c if c >= (x := b / bw) else x)  # max(c, x), without the call
+    grid = np.array(latency, dtype=np.float64).reshape(tuple(map(len, counts)))
+    blocks = tuple(map(sum, counts))
+    for axis in sorted(range(3), key=blocks.__getitem__):
+        if blocks[axis] > len(counts[axis]):
+            grid = np.repeat(grid, counts[axis], axis=axis)
     M, K, N = matmul_dims(op)
     reps = op.kind.repetitions if isinstance(op.kind, Conv) else 1
-    return (float(latency.sum()) * reps,
-            *(float(sum(map(operator.mul, weights, cells))) * reps
-              for cells in (compute, dram, drained)),
-            float(M) * K * N * reps)
+    return (float(grid.sum()) * reps, float(compute) * reps, float(dram) * reps,
+            float(drained) * reps, float(M) * K * N * reps)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +395,7 @@ def _elementwise_cost(op: OperatorSpec, accel: AcceleratorConfig):
         passes = k.passes
         by = float(k.elements) * (passes * op.in_precisions[0] + op.out_precision)
     comp = passes * math.ceil(k.elements / W) * accel.sfu_vector_latency
-    return float(_overlap(comp, by, accel.dram_bw)), comp, by, 0.0, 0.0
+    return float(max(comp, by / accel.dram_bw)), comp, by, 0.0, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +425,7 @@ def op_latency(op: OperatorSpec, accel: AcceleratorConfig,
                plan: TilingPlan | None = None) -> CostReport:
     """Latency/energy/traffic of one operator (all `repeat` instances)."""
     if isinstance(op.kind, (Matmul, Conv)):
-        if plan is None:
-            plan = square_tiles(op, accel)
+        plan = square_tiles(op, accel) if plan is None else plan.check()
         lat, comp, dram, drained, macs = _tiled_cost(op, plan, accel)
     elif isinstance(op.kind, MatvecSeries):
         lat, comp, dram, drained, macs = _matvec_cost(op, accel)

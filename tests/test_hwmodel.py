@@ -18,6 +18,7 @@ from tfperf.workload import (
     _in_bytes,
     encoder_ops,
     flops,
+    layer_ops_encoder,
     model_from_json,
     model_ops,
     model_preset,
@@ -466,6 +467,64 @@ def test_tile_walk_peaks_at_one_grid(walk, tiles):
     assert peak <= 1.25 * 8 * tiles
 
 
+def _large_walk(kind, plan, W=16, spad_kb=256, bw=2.718, prec=(1, 1), wide=False):
+    """A walk of more tiles than numpy's 8,192-element reduction buffer."""
+    op = OperatorSpec("t", OperatorClass.FfnProjection, kind, in_precisions=prec,
+                      out_precision=prec[1], pre_nonlinear=wide)
+    accel = AcceleratorConfig(pe_width=W, scratchpad_bytes=spad_kb * 1024,
+                              accumulator_bytes=64 * 1024, dram_bw=bw).check()
+    return op, TilingPlan(*plan), accel
+
+
+LARGE_WALKS = {
+    # tiles: 8,192 exactly; 8,193 (3 x 2,731 x 1); 8,400 with ragged n;
+    # 18,513 ragged on every axis with neither input resident; a conv
+    "8192": lambda: _large_walk(Matmul(512, 256, 512), (32, 16, 16)),
+    "8193": lambda: _large_walk(Matmul(48, 2731, 16), (16, 1, 16), bw=0.37),
+    "8400-ragged-n": lambda: _large_walk(Matmul(3000, 500, 1000), (100, 50, 37), W=8,
+                                         prec=(2, 1)),
+    "18513-ragged": lambda: _large_walk(Matmul(2049, 4097, 1025), (64, 128, 64), spad_kb=1,
+                                        bw=5.5, wide=True),
+    "conv-10240": lambda: _large_walk(Conv(1, 640, 512, 1024, 1, repetitions=3),
+                                      (64, 32, 16), W=32, spad_kb=64, bw=3.0),
+    "peak-model-w2": _peak_model_w2,
+    "four-k-blocks": _four_k_blocks,
+}
+
+
+@pytest.mark.parametrize("walk", LARGE_WALKS.values(), ids=LARGE_WALKS.keys())
+def test_tiled_cost_matches_the_full_grid_bitwise_past_the_reduction_buffer(walk):
+    """Past numpy's 8,192-element buffer its `.sum()` adds the grid in
+    chunks; the run-cell walk still gives the full grid's sums bit for bit."""
+    op, plan, accel = walk()
+    M, K, N = matmul_dims(op)
+    assert math.ceil(M / plan.tile_m) * math.ceil(K / plan.tile_k) \
+        * math.ceil(N / plan.tile_n) >= 8192
+    got = _tiled_cost(op, plan, accel)
+    assert [v.hex() for v in got] == [v.hex() for v in _reference_tiled_cost(op, plan, accel)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(c=st.integers(0, 2**62), d=st.integers(0, 2**62), tie=st.booleans(),
+       bw=st.floats(1e-300, 1e300) | st.sampled_from((1e-300, 0.37, 1.0, 3.0, 2.0**60)))
+@example(c=2**53 + 1, d=2**53, tie=False, bw=1.0)  # c rounds down onto d / bw
+@example(c=2**53 + 1, d=2**53 + 2, tie=False, bw=1.0)  # both round, d up
+@example(c=2**62, d=2**62, tie=False, bw=1e-300)  # the quotient overflows to inf
+@example(c=0, d=0, tie=False, bw=1e-300)
+@example(c=7, d=21, tie=False, bw=3.0)  # a tie
+def test_float_overlap_is_the_array_rule_bit_for_bit(c, d, tie, bw):
+    """The scalar overlap spellings on Python ints and floats give the bits
+    of `_overlap`'s numpy rule: cycles and bytes across 2**53, ties, and
+    quotients that overflow."""
+    if tie:
+        d, bw = c, 1.0
+    with np.errstate(over="ignore"):
+        want = float(np.maximum(np.float64(c), np.float64(d) / bw)).hex()
+    assert float(max(c, d / bw)).hex() == want
+    x = d / bw
+    assert float(c if c >= x else x).hex() == want
+
+
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_eval_pair_sums_the_full_grid_exactly(name):
     """`eval_pair`'s block sums equal an fsum over the rows of the full grid,
@@ -755,6 +814,27 @@ def test_accel_check_errors():
             accel_from_json(doc)
 
 
+@pytest.mark.parametrize("tiles", [(0, 16, 16), (-16, 16, 16), (1.5, 16, 16), (16, True, 16),
+                                   (16, 16, np.int64(16))],
+                         ids=["zero", "negative", "fractional", "bool", "numpy-int"])
+def test_op_latency_refuses_a_plan_of_other_than_positive_ints(tiles):
+    """A zero tile divided by zero, and a negative or fractional one gave a
+    finite report; each is refused with one ValueError, which the CLI ends
+    with exit 2."""
+    op = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(64, 64, 64))
+    with pytest.raises(InfeasibleConfigError, match="tile sizes must be positive integers"):
+        op_latency(op, accel_preset("gemmini-baseline"), plan=TilingPlan(*tiles))
+    assert issubclass(InfeasibleConfigError, ValueError)
+
+
+def test_a_tile_past_its_extent_is_one_block():
+    op = OperatorSpec("t", OperatorClass.FfnProjection, Matmul(64, 40, 64))
+    accel = accel_preset("gemmini-baseline")
+    assert TilingPlan(1000, 64, 65).check() == TilingPlan(1000, 64, 65)
+    assert op_latency(op, accel, plan=TilingPlan(1000, 64, 65)) \
+        == op_latency(op, accel, plan=TilingPlan(64, 40, 64))
+
+
 @pytest.mark.parametrize("doc", [
     {"pe_width": True}, {"pe_width": False}, {"pe_width": 16.7}, {"pe_width": "16.5"},
     {"pe_width": 1e400}, {"pe_width": None}, {"pe_widht": 16}, {"name": "gemmini"},
@@ -957,3 +1037,61 @@ def test_tile_walk_differs_from_kernel_only_by_named_rules(W, m, k, n, spad_kb, 
     drain = M * N * out_b * e.scratchpad_access
     want = drain + gap * (e.scratchpad_access + e.dram_access)
     assert hw.energy - kernel.energy == pytest.approx(want, rel=1e-12, abs=1e-6)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on a scalar path")
+
+
+def test_scalar_paths_need_no_numpy(monkeypatch):
+    """Tiling, an elementwise cost and the fused consumer's block cycles run
+    on Python numbers alone, with the bytes they had when numpy served them."""
+    accels = {
+        "baseline": accel_preset("gemmini-baseline"),
+        "odd": AcceleratorConfig(pe_width=8, scratchpad_bytes=32 * 1024,
+                                 accumulator_bytes=512 * 1024, dram_bw=0.37,
+                                 sfu_vector_latency=2.5).check(),
+        "slow-sfu": AcceleratorConfig(pe_width=4, dram_bw=7.5, sfu_vector_latency=40.0).check(),
+    }
+    tiles = {  # (square, greedy) per accelerator and op
+        "baseline": {"L0.qk": ((80, 64, 80), (96, 64, 80)),
+                     "L0.sv": ((352, 352, 64), (352, 368, 64)),
+                     "L0.wout": ((80, 80, 80), (96, 768, 80)),
+                     "L0.w2": ((80, 80, 80), (80, 1632, 80))},
+        "odd": {"L0.qk": ((256, 64, 256), (256, 64, 256)),
+                "L0.sv": ((128, 128, 64), (128, 128, 64)),
+                "L0.wout": ((128, 128, 128), (128, 128, 128)),
+                "L0.w2": ((128, 128, 128), (128, 128, 128))},
+        "slow-sfu": {"L0.qk": ((88, 64, 88), (92, 64, 88)),
+                     "L0.sv": ((360, 360, 64), (360, 364, 64)),
+                     "L0.wout": ((88, 88, 88), (92, 768, 88)),
+                     "L0.w2": ((88, 88, 88), (88, 1488, 88))},
+    }
+    elementwise = {  # (latency, energy, compute_bound) per accelerator and op
+        "baseline": {"L0.softmax": (13631488.0, 8424259584.0, False),
+                     "L0.add_ln1": (1703936.0, 1053032448.0, False),
+                     "L0.gelu": (1048576.0, 648019968.0, False)},
+        "odd": {"L0.softmax": (110525578.37837838, 8424259584.0, False),
+                "L0.add_ln1": (13815697.297297297, 1053032448.0, False),
+                "L0.gelu": (8501967.567567568, 648019968.0, False)},
+        "slow-sfu": {"L0.softmax": (94371840.0, 8424259584.0, True),
+                     "L0.add_ln1": (11796480.0, 1053032448.0, True),
+                     "L0.gelu": (15728640.0, 648019968.0, True)},
+    }
+    consumer = {"baseline": [333.3333333333333, 10922.666666666666],
+                "odd": [2702.702702702703, 88562.16216216216],
+                "slow-sfu": [30000.0, 983040.0]}
+    ops = {op.name: op for op in layer_ops_encoder(model_preset("bert-base", 512), 0)}
+    softmax = bert_pair("qk-softmax").consumer
+    monkeypatch.setattr(hwmodel, "np", _NoNumpy())
+    for name, accel in accels.items():
+        for op_name, (square, greedy) in tiles[name].items():
+            assert square_tiles(ops[op_name], accel) == TilingPlan(*square)
+            assert greedy_tiles(ops[op_name], accel) == TilingPlan(*greedy)
+        for op_name, (latency, energy, bound) in elementwise[name].items():
+            rep = op_latency(ops[op_name], accel)
+            assert (rep.latency.hex(), rep.energy.hex(), rep.compute_bound) \
+                == (latency.hex(), energy.hex(), bound)
+        assert [_consumer_block_cycles(softmax, e, accel).hex() for e in (1000, 64 * 512)] \
+            == [v.hex() for v in consumer[name]]
